@@ -1,10 +1,11 @@
 """Special functions and random variate generation.
 
 Everything stochastic in this package is driven by :class:`RngStream`, a
-seedable uniform stream addressed by a ``(seed, stream_id)`` pair.  The
-samplers (Bernoulli, Poisson, Gamma, Beta) consume nothing but uniforms from
-the stream, so any run is reproducible from that pair alone, and independent
-replicates can be run on distinct stream ids.
+seedable stream addressed by a ``(seed, stream_id)`` pair.  Uniforms and
+Bernoulli draws come from the stream's buffered uniforms; Poisson, Gamma and
+Beta draws are made by the stream's underlying numpy generator.  The same
+pair and the same sequence of calls reproduce the same draws within one
+numpy version, and independent replicates run on distinct stream ids.
 
 The deterministic side consists of the regularized lower incomplete gamma
 function and its inverse in the second argument, which together supply exact
@@ -32,14 +33,6 @@ __all__ = [
 
 _MAX_ITERATIONS = 1_000_000
 _REL_TERM_TOL = 1e-15
-
-# Poisson draws above this mean are split into independent sub-draws so the
-# sequential-search inversion always works on a short cumulative sum.
-_POISSON_SPLIT_MEAN = 30.0
-
-# Integer gamma shapes up to this bound are sampled as sums of exponentials;
-# larger or fractional shapes fall back to a rejection sampler.
-_GAMMA_SUM_LIMIT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +176,7 @@ def gamma_quantile(shape: float, rate: float, q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Uniform stream
+# Random stream and variate samplers
 # ---------------------------------------------------------------------------
 
 # Refill sizes grow so short-lived streams stay cheap while long-lived ones
@@ -192,13 +185,16 @@ _BUFFER_SCHEDULE = (64, 256, 1024, 4096, 16384)
 
 
 class RngStream:
-    """Deterministic uniform stream addressed by ``(seed, stream_id)``.
+    """Deterministic random stream addressed by ``(seed, stream_id)``.
 
     Backed by the Philox counter-based generator keyed directly with the
     ``(seed, stream_id)`` pair.  Distinct keys yield statistically
     independent sequences (a documented property of that generator family),
-    each with period 2^256, and the same pair reproduces the identical
-    sequence of variates within one library version.
+    each with period 2^256.  :meth:`next_uniform` serves uniforms from a
+    buffer refilled in blocks, and the samplers of this module draw from the
+    same generator, so a refill and a sampler call each advance it.  The
+    same pair and the same sequence of calls therefore reproduce the same
+    draws within one numpy version.
 
     A stream is single-owner mutable state: never share one instance across
     threads.  Run concurrent replicates on distinct stream ids instead.
@@ -251,119 +247,39 @@ def sample_bernoulli(rng: RngStream, p: float) -> bool:
     return rng.next_uniform() < p
 
 
-# ---------------------------------------------------------------------------
-# Variate samplers
-# ---------------------------------------------------------------------------
-
-
-def _exponential(rng: RngStream) -> float:
-    # Unit-rate exponential; redraw the measure-zero u == 0 so log stays finite.
-    u = rng.next_uniform()
-    while u == 0.0:
-        u = rng.next_uniform()
-    return -math.log(u)
-
-
-def _standard_normal(rng: RngStream) -> float:
-    # Box-Muller, cosine branch only: exactly two uniforms per normal keeps
-    # stream consumption independent of call history.
-    u1 = rng.next_uniform()
-    while u1 == 0.0:
-        u1 = rng.next_uniform()
-    u2 = rng.next_uniform()
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
 def sample_poisson(rng: RngStream, mu: float) -> int:
-    """Poisson(mu) draw; mu = 0 returns 0 deterministically.
+    """Poisson(mu) draw by the stream's generator; mu = 0 returns 0.
 
-    Inversion by sequential search on the cumulative pmf for ``mu <= 30``;
-    larger means are split into equal sub-means below 30 and the independent
-    sub-draws summed, which preserves the exact law.
+    Its cost does not grow with mu; means above about 9.2e18 raise ValueError.
     """
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ValueError(f"mu must be a nonnegative finite real, got {mu!r}")
     if mu == 0.0:
         return 0
-    if mu > _POISSON_SPLIT_MEAN:
-        pieces = math.ceil(mu / _POISSON_SPLIT_MEAN)
-        sub_mean = mu / pieces
-        return sum(_poisson_inversion(rng, sub_mean) for _ in range(pieces))
-    return _poisson_inversion(rng, mu)
-
-
-def _poisson_inversion(rng: RngStream, mu: float) -> int:
-    u = rng.next_uniform()
-    prob = math.exp(-mu)
-    cdf = prob
-    count = 0
-    while u > cdf:
-        count += 1
-        prob *= mu / count
-        cdf += prob
-        if prob == 0.0:
-            # pmf underflowed: u sits beyond representable mass
-            break
-    return count
+    return int(rng._gen.poisson(mu))
 
 
 def sample_gamma(rng: RngStream, shape: float, rate: float) -> float:
-    """Gamma(shape, rate) draw.
-
-    Integer shapes up to 64 (the dominant case here) are sampled exactly as
-    sums of unit-rate exponentials; other shapes use the Marsaglia-Tsang
-    squeeze-rejection method.
-    """
+    """Gamma(shape, rate) draw, by the stream's generator."""
     if not (math.isfinite(shape) and shape > 0.0):
         raise ValueError(f"shape must be a positive finite real, got {shape!r}")
     if not (math.isfinite(rate) and rate > 0.0):
         raise ValueError(f"rate must be a positive finite real, got {rate!r}")
-    if shape <= _GAMMA_SUM_LIMIT and float(shape).is_integer():
-        total = 0.0
-        for _ in range(int(shape)):
-            total += _exponential(rng)
-        return total / rate
-    return _gamma_rejection(rng, float(shape)) / rate
-
-
-def _gamma_rejection(rng: RngStream, shape: float) -> float:
-    # Marsaglia-Tsang; shapes below 1 are boosted via G(a) = G(a+1) * U^(1/a).
-    boost = 1.0
-    a = shape
-    if a < 1.0:
-        u = rng.next_uniform()
-        while u == 0.0:
-            u = rng.next_uniform()
-        boost = u ** (1.0 / a)
-        a += 1.0
-    d = a - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = _standard_normal(rng)
-        v = (1.0 + c * x) ** 3
-        if v <= 0.0:
-            continue
-        u = rng.next_uniform()
-        if u < 1.0 - 0.0331 * x**4:
-            return boost * d * v
-        if u == 0.0 or math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return boost * d * v
+    return float(rng._gen.gamma(shape, 1.0 / rate))
 
 
 def sample_beta(rng: RngStream, a: int, b: int) -> float:
     """Beta(a, b) draw for integer parameters a, b >= 1.
 
-    Sampled as G1 / (G1 + G2) with independent G1 ~ Gamma(a, 1) and
-    G2 ~ Gamma(b, 1); the result is clamped to the open interval (0, 1).
+    Drawn by the stream's generator and clamped to the open interval (0, 1),
+    so an arrival time built from it is never exactly 0.
     """
     for name, value in (("a", a), ("b", b)):
         if not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
-    g1 = sample_gamma(rng, float(a), 1.0)
-    g2 = sample_gamma(rng, float(b), 1.0)
-    ratio = g1 / (g1 + g2)
+    ratio = float(rng._gen.beta(a, b))
     if ratio <= 0.0:
         return math.nextafter(0.0, 1.0)
     if ratio >= 1.0:

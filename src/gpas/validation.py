@@ -265,7 +265,8 @@ def chernoff_two_phase_calls(
     totals = np.empty(replicates, dtype=np.int64)
     for i in range(replicates):
         rng = RngStream(seed, i)
-        r_hat1 = sum(sample_poisson(rng, mu) for _ in range(n1)) / n1
+        # the sum of n1 iid Poisson(mu) pilot counts is exactly Poisson(n1 mu)
+        r_hat1 = sample_poisson(rng, mu * n1) / n1
         if r_hat1 <= 0.0:
             r_hat1 = 1.0 / n1  # all-zero pilot: size phase 2 at the resolution floor
         eps2 = phase2_epsilon(epsilon, r_hat1)

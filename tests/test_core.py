@@ -22,13 +22,14 @@ from gpas.validation import ks_critical_value, ks_statistic, replicate_gpas
 
 SEED = 202
 
-# Frozen on the first verified run (seed 20260810, stream 0; mu=1,
-# epsilon=0.2, delta=0.1).
+# Frozen from a verified run (seed 20260810, stream 0; mu=1, epsilon=0.2,
+# delta=0.1).  The Poisson and Beta draws come from numpy's generator, so the
+# pin holds within one numpy version.
 GOLDEN_EXACT_GPAS = GpasResult(
     k=67,
-    t_prime=72.26842424798886,
-    mu_hat=0.913261921603842,
-    draws_used=73,
+    t_prime=66.13696659197021,
+    mu_hat=0.9979290463559477,
+    draws_used=67,
 )
 
 

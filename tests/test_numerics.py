@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -189,6 +191,28 @@ def test_determinism_bit_identical_across_buffering():
     ]
 
 
+def _mixed_draws(rng):
+    # interleave every draw path through 20k uniforms, so the buffer refills
+    # several times between sampler calls
+    draws = []
+    for _ in range(4_000):
+        draws.extend(rng.next_uniform() for _ in range(4))
+        draws.append(sample_bernoulli(rng, 0.3))
+        draws.append(sample_poisson(rng, 3.0))
+        draws.append(sample_poisson(rng, 40.0))
+        draws.append(sample_beta(rng, 2, 5))
+        draws.append(sample_gamma(rng, 2.5, 1.5))
+    return draws
+
+
+def test_determinism_bit_identical_across_mixed_calls():
+    # uniforms come from a buffer and the samplers from the same generator,
+    # so both paths must advance it identically on every replay
+    first = _mixed_draws(RngStream(77, 5))
+    assert first == _mixed_draws(RngStream(77, 5))
+    assert first != _mixed_draws(RngStream(77, 6))
+
+
 def test_distinct_stream_ids_differ_and_decorrelate():
     a = RngStream(77, 0)
     b = RngStream(77, 1)
@@ -255,15 +279,19 @@ def test_poisson_chi_square_fit_against_exact_pmf():
     assert pvalue > CHI2_ALPHA
 
 
-def test_poisson_split_regime_matches_moments():
-    # mu > 30 goes through the split-and-sum path
+@pytest.mark.parametrize("mu", [75.0, 1e6, 1e12])
+def test_poisson_large_mean_moments(mu):
+    # 20k draws at mu = 1e12 finish only if a draw's cost does not grow
+    # with mu; counts must stay Python ints
     rng = RngStream(SEED, 6)
-    draws = np.array([sample_poisson(rng, 75.0) for _ in range(20_000)])
-    assert abs(draws.mean() - 75.0) < 3.0 * math.sqrt(75.0 / 20_000)
-    assert abs(draws.var(ddof=1) / 75.0 - 1.0) < 0.05
+    values = [sample_poisson(rng, mu) for _ in range(20_000)]
+    assert all(type(value) is int for value in values)
+    draws = np.array(values, dtype=float)
+    assert abs(draws.mean() - mu) < 3.0 * math.sqrt(mu / 20_000)
+    assert abs(draws.var(ddof=1) / mu - 1.0) < 0.05
 
 
-@pytest.mark.parametrize("mu", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("mu", [-1.0, math.nan, math.inf, 1e20])
 def test_poisson_domain_errors(mu):
     with pytest.raises(ValueError):
         sample_poisson(RngStream(SEED), mu)
@@ -290,9 +318,8 @@ def test_gamma_moment_oracle():
 
 
 def test_gamma_sum_of_exponentials_matches_single_draw():
-    # k = 70 exceeds the sum-of-exponentials limit, so the single draw takes
-    # the rejection path while the sum below is built from exponentials:
-    # two independent routes to the same law
+    # sums of k exponentials built from the stream's uniforms against single
+    # draws from the generator: two independent routes to the same law
     rng = RngStream(SEED, 9)
     k, mu = 70, 1.3
     sums = np.array([
@@ -360,3 +387,21 @@ def test_beta_range_is_open_interval():
 def test_beta_domain_errors(a, b):
     with pytest.raises(ValueError):
         sample_beta(RngStream(SEED), a, b)
+
+
+# ---------------------------------------------------------------------------
+# Sampler ranges over their whole domains
+# ---------------------------------------------------------------------------
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    mu=st.floats(min_value=0.0, max_value=1e12),
+    a=st.integers(min_value=1, max_value=10**6),
+    b=st.integers(min_value=1, max_value=10**6),
+)
+def test_sampler_ranges_property(mu, a, b):
+    rng = RngStream(SEED, 15)
+    count = sample_poisson(rng, mu)
+    assert type(count) is int and count >= 0
+    assert 0.0 < sample_beta(rng, a, b) < 1.0
