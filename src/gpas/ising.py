@@ -11,11 +11,24 @@ partition function at any beta, the exact law of H(X) under Gibbs(beta)
 (sampled by cumulative-weight inversion over at most #E + 1 levels), and
 hence a :class:`~gpas.tpa.NestedGibbsFamily` with no sampler bias, which is
 what makes this backend a clean validation target for the ratio scheme.
+
+A descent draws H(X) at a fresh beta on every step, so the inversion is the
+hot path.  :func:`sample_hamiltonian` answers most draws from normalized CDF
+tables cached on the histogram at the points of a fine dyadic beta grid: the
+level law c_h e^{beta h} has a monotone likelihood ratio in beta, so the
+tables at the two grid points around beta bracket its CDF, and whenever both
+brackets invert the uniform to the same level that level is the answer.  The
+remaining draws, and every beta off the tabulated range, invert directly at
+beta.  Either way a draw returns the level the direct inversion returns for
+the same uniform.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import floor, isfinite
 
 import numpy as np
 
@@ -38,6 +51,19 @@ ENUMERATION_LIMIT = 24
 
 # Enumeration proceeds in chunks of this many states to bound peak memory.
 _CHUNK = 1 << 20
+
+# CDF tables for sample_hamiltonian sit at beta = j * step for |j| <= _GRID_LIMIT,
+# where step is the largest power of two at most 1 / (_GRID_PER_EDGE * #E).
+# The limit caps the cache at 2 * _GRID_LIMIT + 1 tables of at most #E + 1
+# doubles each, and the tabulated range at |beta| * #E <= 64.
+_GRID_PER_EDGE = 64
+_GRID_LIMIT = 1 << 12
+# A bracket decides a draw only when the uniform clears the table entries it
+# is compared with by this margin.  In the tabulated range every log weight is
+# below 81 in magnitude (|ln count| <= 24 ln 2, |beta h| <= 64), so with up to
+# 277 levels a table entry, and the direct inversion's comparison, each differ
+# from the exact CDF by less than 1.7e-13.
+_TABLE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,13 +152,18 @@ class HamiltonianHistogram:
 
     The counts array (length #E + 1) is write-locked after construction and
     the object is safe to share across threads; sampling needs only a
-    caller-owned stream.
+    caller-owned stream.  The sampler's CDF tables are filled in lazily, one
+    slot at a time: every slot's table is a deterministic function of the
+    counts, so threads that race to fill one slot store equal tables.
     """
 
     vertex_count: int
     counts: np.ndarray
     _levels: np.ndarray = field(init=False, repr=False, compare=False)
     _log_counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _level_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _grid_scale: float = field(init=False, repr=False, compare=False)
+    _cdf_tables: list[array | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -147,6 +178,10 @@ class HamiltonianHistogram:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "_levels", occupied.astype(np.float64))
         object.__setattr__(self, "_log_counts", np.log(counts[occupied].astype(np.float64)))
+        object.__setattr__(self, "_level_values", tuple(occupied.tolist()))
+        edges = max(counts.size - 1, 1)
+        object.__setattr__(self, "_grid_scale", float(1 << (_GRID_PER_EDGE * edges - 1).bit_length()))
+        object.__setattr__(self, "_cdf_tables", [None] * (2 * _GRID_LIMIT + 1))
 
     @property
     def edge_count(self) -> int:
@@ -193,20 +228,61 @@ def log_partition_function(hist: HamiltonianHistogram, beta: float) -> float:
     return peak + float(np.log(np.sum(np.exp(log_weights - peak))))
 
 
+def _cumulative_weights(hist: HamiltonianHistogram, beta: float) -> np.ndarray:
+    """Unnormalized cumulative level weights, exponentiated against the peak."""
+    log_weights = hist._log_counts + beta * hist._levels
+    return np.cumsum(np.exp(log_weights - log_weights.max()))
+
+
+def _cdf_table(hist: HamiltonianHistogram, j: int) -> array:
+    """The normalized CDF at grid point j, built on first use and cached."""
+    cumulative = _cumulative_weights(hist, j / hist._grid_scale)
+    table = array("d", (cumulative / cumulative[-1]).tobytes())
+    hist._cdf_tables[j + _GRID_LIMIT] = table
+    return table
+
+
 def sample_hamiltonian(hist: HamiltonianHistogram, beta: float, rng: RngStream) -> int:
     """Draw H(X) for X ~ Gibbs(beta): level h w.p. counts[h] e^{beta h} / Z(beta).
 
-    Cumulative-sum inversion over the occupied levels, with weights
-    exponentiated against the peak log weight so no beta overflows.
+    Inverts one uniform u: the answer is the first occupied level whose
+    cumulative weight exceeds u times the total, with weights exponentiated
+    against the peak log weight so no beta overflows.
+
+    Most draws skip that computation.  On the grid b_j = j * step (step a
+    power of two, so beta lies exactly in a cell [b_j, b_{j+1}]), the level
+    law has a monotone likelihood ratio in beta, so its CDF is nonincreasing
+    in beta: F_{b_{j+1}}(h) <= F_beta(h) <= F_{b_j}(h) at every level.
+    Inverting u - m in the cached table of F_{b_j} and u + m in that of
+    F_{b_{j+1}} therefore brackets the answer from below and above; when
+    both give the same level, it is the answer.  The margin m exceeds the
+    rounding error of the tables and of the direct inversion together, so
+    the bracket agrees with the direct inversion bit for bit, not merely in
+    law.  Otherwise, and for beta beyond the tabulated range, the direct
+    inversion runs at beta with the same u.
+
+    Raises:
+        ValueError: if beta is not finite.
     """
-    log_weights = hist._log_counts + beta * hist._levels
-    weights = np.exp(log_weights - log_weights.max())
-    cumulative = np.cumsum(weights)
-    u = rng.next_uniform() * cumulative[-1]
-    index = int(np.searchsorted(cumulative, u, side="right"))
-    if index >= cumulative.size:
-        index = cumulative.size - 1
-    return int(hist._levels[index])
+    x = beta * hist._grid_scale
+    if -_GRID_LIMIT <= x < _GRID_LIMIT:
+        u = rng.next_uniform()
+        j = floor(x)
+        tables = hist._cdf_tables
+        index = bisect_right(
+            tables[j + _GRID_LIMIT] or _cdf_table(hist, j), u - _TABLE_MARGIN
+        )
+        if index == bisect_right(
+            tables[j + _GRID_LIMIT + 1] or _cdf_table(hist, j + 1), u + _TABLE_MARGIN
+        ):
+            return hist._level_values[index]
+    elif isfinite(beta):
+        u = rng.next_uniform()
+    else:
+        raise ValueError(f"beta must be finite, got {beta!r}")
+    cumulative = _cumulative_weights(hist, beta)
+    index = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
+    return hist._level_values[min(index, cumulative.size - 1)]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gpas import ising
 from gpas.errors import SizeExceededError
 from gpas.ising import (
     ENUMERATION_LIMIT,
@@ -18,6 +23,7 @@ from gpas.ising import (
     sample_hamiltonian,
 )
 from gpas.numerics import RngStream
+from gpas.tpa import two_phase_scheme
 
 SEED = 404
 
@@ -29,6 +35,40 @@ def brute_force_histogram(graph):
         h = sum(assignment[u] == assignment[v] for u, v in graph.edges)
         counts[h] += 1
     return counts
+
+
+def reference_cdf(hist, beta):
+    """Occupied levels and their unnormalized cumulative weights at beta,
+    in the direct inversion's arithmetic."""
+    occupied = np.flatnonzero(hist.counts)
+    levels = occupied.astype(np.float64)
+    log_weights = np.log(hist.counts[occupied].astype(np.float64)) + beta * levels
+    return occupied, np.cumsum(np.exp(log_weights - log_weights.max()))
+
+
+def reference_inversion(hist, beta, u):
+    """The level direct inversion at beta returns for the uniform u."""
+    occupied, cumulative = reference_cdf(hist, beta)
+    index = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
+    return int(occupied[min(index, occupied.size - 1)])
+
+
+class FixedUniforms:
+    """Stand-in stream that serves the given uniforms in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def next_uniform(self):
+        return next(self._values)
+
+
+def assert_matches_reference(hist, pairs):
+    uniforms = FixedUniforms(u for _, u in pairs)
+    got = [sample_hamiltonian(hist, beta, uniforms) for beta, _ in pairs]
+    expected = [reference_inversion(hist, beta, u) for beta, u in pairs]
+    mismatches = [(pair, g, e) for pair, g, e in zip(pairs, got, expected) if g != e]
+    assert not mismatches, mismatches[:5]
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +309,137 @@ def test_family_contract():
     values = {family.sample_hamiltonian(0.3, rng) for _ in range(2000)}
     assert values <= {0.0, 2.0, 4.0}
     assert all(isinstance(v, float) for v in values)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_sampling_rejects_non_finite_beta(beta):
+    hist = build_histogram(LatticeGraph.grid(3, 3))
+    with pytest.raises(ValueError, match="beta must be finite"):
+        sample_hamiltonian(hist, beta, RngStream(SEED, 5))
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_family_rejects_non_finite_beta(beta):
+    family = IsingGibbsFamily(build_histogram(LatticeGraph.grid(3, 3)))
+    with pytest.raises(ValueError, match="beta must be finite"):
+        family.sample_hamiltonian(beta, RngStream(SEED, 5))
+
+
+@pytest.mark.parametrize("width,height,stream", [(2, 2, 6), (3, 3, 7)])
+def test_sampling_level_frequencies_off_grid(width, height, stream):
+    # the exact level law counts[h] e^{beta h} / Z(beta) at a beta strictly
+    # inside a cell of the sampler's table grid
+    beta = 0.3713
+    hist = build_histogram(LatticeGraph.grid(width, height))
+    assert beta * hist._grid_scale != math.floor(beta * hist._grid_scale)
+    rng = RngStream(SEED, stream)
+    n = 100_000
+    draws = np.array([sample_hamiltonian(hist, beta, rng) for _ in range(n)])
+    levels = np.arange(hist.counts.size)
+    law = hist.counts * np.exp(beta * levels) / partition_function(hist, beta)
+    for level, probability in enumerate(law):
+        frequency = float(np.mean(draws == level))
+        band = 3.0 * math.sqrt(probability * (1.0 - probability) / n)
+        assert abs(frequency - probability) <= band
+
+
+@pytest.mark.parametrize("width,height", [(1, 1), (2, 2), (3, 3), (4, 4), (4, 6)])
+def test_sampling_matches_direct_inversion_bit_for_bit(width, height):
+    hist = build_histogram(LatticeGraph.grid(width, height))
+    scale, limit = hist._grid_scale, ising._GRID_LIMIT
+    # grid points, their float neighbours on both sides, and the ends of
+    # the tabulated range
+    betas = []
+    for j in (0, 1, -1, 7, -7, 333, scale, -scale, limit - 1, limit, limit + 1, -limit, -limit - 1):
+        beta = j / scale
+        betas += [beta, math.nextafter(beta, -math.inf), math.nextafter(beta, math.inf)]
+    gen = np.random.default_rng(100 * width + height)
+    betas += gen.uniform(-3.0, 3.0, 200).tolist()
+    # beta * #E far past exp's range: only the peak shift keeps weights finite
+    betas += [50.0, -50.0, 1000.0, -1000.0]
+    pairs = [(beta, u) for beta in betas for u in gen.random(100).tolist()]
+    assert len(pairs) >= 20_000
+    assert_matches_reference(hist, pairs)
+
+
+@pytest.mark.parametrize("width,height", [(3, 3), (4, 4)])
+def test_sampling_near_table_entries_takes_direct_inversion(width, height, monkeypatch):
+    hist = build_histogram(LatticeGraph.grid(width, height))
+    scale = hist._grid_scale
+    pairs = []
+    for j in (0, 5, -3, 1000):
+        for beta in (j / scale, (j + 0.37) / scale):
+            for edge in (j, j + 1):
+                _, cumulative = reference_cdf(hist, edge / scale)
+                for entry in (cumulative / cumulative[-1]).tolist():
+                    for offset in (-1e-15, -2e-16, 0.0, 2e-16, 1e-15):
+                        if 0.0 <= entry + offset < 1.0:
+                            pairs.append((beta, entry + offset))
+    # fill the tables first, then count the draws that invert directly
+    for beta in {beta for beta, _ in pairs}:
+        sample_hamiltonian(hist, beta, FixedUniforms([0.5]))
+    direct = []
+    real_cumulative_weights = ising._cumulative_weights
+
+    def counting(hist, beta):
+        direct.append(beta)
+        return real_cumulative_weights(hist, beta)
+
+    monkeypatch.setattr(ising, "_cumulative_weights", counting)
+    assert_matches_reference(hist, pairs)
+    assert direct == [beta for beta, _ in pairs]
+
+
+def test_sampling_threads_share_one_histogram():
+    # threads fill the cold table cache concurrently; every draw must still
+    # match the direct inversion
+    hist = build_histogram(LatticeGraph.grid(4, 4))
+    gen = np.random.default_rng(17)
+    work = [list(zip(gen.random(3000).tolist(), gen.random(3000).tolist())) for _ in range(4)]
+    results = [None] * len(work)
+
+    def draw(slot):
+        uniforms = FixedUniforms(u for _, u in work[slot])
+        results[slot] = [sample_hamiltonian(hist, beta, uniforms) for beta, _ in work[slot]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(slot,)) for slot in range(len(work))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for pairs, got in zip(work, results):
+        assert got == [reference_inversion(hist, beta, u) for beta, u in pairs]
+
+
+_PROPERTY_HISTOGRAMS = [build_histogram(LatticeGraph.grid(w, h)) for w, h in ((1, 1), (2, 2), (2, 3), (3, 3))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(
+    hist=st.sampled_from(_PROPERTY_HISTOGRAMS),
+    beta=st.one_of(
+        st.floats(min_value=-100.0, max_value=100.0),
+        st.integers(min_value=-(1 << 13), max_value=1 << 13).map(lambda j: j / 1024),
+    ),
+    u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+def test_sampling_matches_direct_inversion_property(hist, beta, u):
+    assert_matches_reference(hist, [(beta, u)])
+
+
+def test_two_phase_stream_pinned_on_3x3():
+    # recorded with direct inversion on every draw: the table path must
+    # reproduce each draw, so the whole report repeats exactly (within one
+    # numpy version)
+    family = IsingGibbsFamily(build_histogram(LatticeGraph.grid(3, 3)))
+    report = two_phase_scheme(family, 0.2, 0.1, RngStream(11, 0))
+    assert report.r_hat1 == 7.3903477780003195
+    assert report.r_hat2 == 7.677962472145316
+    assert (report.ci.lower, report.ci.upper) == (1904.5491808677568, 2456.1905723649497)
+    assert report.total_tpa_calls == 1298
