@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, CalibrationError
 from .numerics import (
     RngStream,
+    _reg_upper_gamma,
     gamma_quantile,
     reg_lower_gamma,
     sample_bernoulli,
@@ -195,7 +196,9 @@ def failure_probability(k: int, epsilon: float) -> float:
 
     Since mu * T' ~ Gamma(k, 1) and mu_hat = (k - 1)/T', the failure event
     is {G <= 1/(1 + eps)} union {G > 1/(1 - eps)} for G ~ Gamma(k, k - 1),
-    so the probability is a sum of two exact Gamma tail values.
+    so the probability is a sum of two exact Gamma tail values.  The upper
+    tail is evaluated directly, not as one minus the CDF, so it keeps its
+    relative precision when it is far below machine epsilon.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
@@ -203,8 +206,8 @@ def failure_probability(k: int, epsilon: float) -> float:
         raise ValueError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
     rate = float(k - 1)
     low_tail = reg_lower_gamma(k, rate / (1.0 + epsilon))
-    high_cdf = reg_lower_gamma(k, rate / (1.0 - epsilon))
-    return low_tail + (1.0 - high_cdf)
+    high_tail = _reg_upper_gamma(k, rate / (1.0 - epsilon))
+    return low_tail + high_tail
 
 
 def calibrate(epsilon: float, delta: float, k_cap: int = 10_000_000) -> Calibration:

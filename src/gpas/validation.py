@@ -111,8 +111,8 @@ def poisson_chi_square_pvalue(counts: Sequence[int], mean: float) -> float:
     n = counts.size
     top = int(counts.max()) + 1
     observed = np.bincount(counts, minlength=top + 1).astype(np.float64)
-    pmf = np.array([math.exp(-mean) * mean**i / math.factorial(i) for i in range(top)])
-    expected = np.append(pmf, max(1.0 - pmf.sum(), 0.0)) * n
+    pmf = _stats.poisson.pmf(np.arange(top), mean)
+    expected = np.append(pmf, _stats.poisson.sf(top - 1, mean)) * n
 
     # pool the sparse tails inward so the chi-square approximation is valid
     obs_bins: list[float] = []

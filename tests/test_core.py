@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpas.core import (
     Calibration,
@@ -27,8 +29,8 @@ SEED = 202
 # pin holds within one numpy version.
 GOLDEN_EXACT_GPAS = GpasResult(
     k=67,
-    t_prime=66.13696659197021,
-    mu_hat=0.9979290463559477,
+    t_prime=66.77201483231624,
+    mu_hat=0.9884380479718188,
     draws_used=67,
 )
 
@@ -162,6 +164,30 @@ def test_failure_probability_monotone_in_k():
     for epsilon in (0.05, 0.1, 0.3, 0.7):
         values = [failure_probability(k, epsilon) for k in range(3, 400, 7)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_failure_probability_against_mpmath():
+    # both tails against 40-digit mpmath over eps in [0.005, 0.5] and k up
+    # to 1.5e6; at (7667, 0.1) the upper tail is 3e-21 of a 1e-16 total, and
+    # taking it as 1 - P loses all of it (3.2e-5 relative)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        cases = [(7667, 0.1)] + [
+            (k, epsilon)
+            for epsilon in np.geomspace(0.005, 0.5, 6).tolist()
+            for k in np.unique(np.geomspace(3, 1.5e6, 10).astype(int)).tolist()
+        ]
+        checked = 0
+        for k, epsilon in cases:
+            low = mpmath.gammainc(k, 0, mpmath.mpf((k - 1) / (1.0 + epsilon)), regularized=True)
+            high = mpmath.gammainc(k, mpmath.mpf((k - 1) / (1.0 - epsilon)), mpmath.inf,
+                                   regularized=True)
+            exact = low + high
+            if exact < 1e-300:
+                continue
+            assert float(abs(failure_probability(k, epsilon) / exact - 1)) <= 1e-12, (k, epsilon)
+            checked += 1
+        assert checked > 40
 
 
 @pytest.mark.parametrize("k,epsilon", [(1, 0.1), (2.5, 0.1), (5, 0.0), (5, 1.0), (5, -0.2)])
@@ -336,6 +362,23 @@ def test_confidence_interval_coverage_monte_carlo():
         hits += ci.lower <= mu <= ci.upper
     band = 3.0 * math.sqrt(coverage * (1.0 - coverage) / n)
     assert abs(hits / n - coverage) <= band
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    k=st.integers(min_value=2, max_value=2_000_000),
+    t_prime=st.floats(min_value=1e-3, max_value=1e6),
+    coverages=st.lists(
+        st.floats(min_value=1e-9, max_value=1.0 - 1e-9), min_size=2, max_size=2, unique=True
+    ),
+)
+def test_confidence_intervals_nest_as_coverage_grows(k, t_prime, coverages):
+    narrow, wide = sorted(coverages)
+    result = GpasResult(k=k, t_prime=t_prime, mu_hat=(k - 1) / t_prime,
+                        draws_used=math.ceil(t_prime))
+    inner = confidence_interval(result, narrow)
+    outer = confidence_interval(result, wide)
+    assert 0.0 < outer.lower <= inner.lower <= inner.upper <= outer.upper
 
 
 @pytest.mark.parametrize("coverage", [0.0, 1.0, -0.5, 2.0])

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from gpas.numerics import (
     RngStream,
+    _reg_upper_gamma,
     gamma_quantile,
     reg_lower_gamma,
     sample_beta,
@@ -113,6 +114,34 @@ def test_reg_lower_gamma_domain_errors(shape, x):
         reg_lower_gamma(shape, x)
 
 
+def test_reg_upper_gamma_against_mpmath():
+    # the upper tail at the arguments failure_probability uses, over
+    # eps in [0.005, 0.5] and k up to 1.5e6, against 40-digit mpmath; taking
+    # it as 1 - P instead loses it entirely once it falls below 1e-16
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        checked = 0
+        for epsilon in np.geomspace(0.005, 0.5, 12).tolist():
+            for k in np.unique(np.geomspace(3, 1.5e6, 16).astype(int)).tolist():
+                x = (k - 1) / (1.0 - epsilon)
+                exact = mpmath.gammainc(k, mpmath.mpf(x), mpmath.inf, regularized=True)
+                if exact < 1e-300:
+                    continue  # below the smallest normal double
+                assert float(abs(_reg_upper_gamma(k, x) / exact - 1)) <= 1e-12, (k, epsilon)
+                checked += 1
+        assert checked > 100
+
+
+def test_reg_upper_gamma_complements_lower():
+    for shape, x in [(0.5, 0.3), (3.0, 2.0), (3.0, 9.0), (200.0, 250.0)]:
+        assert _reg_upper_gamma(shape, x) == pytest.approx(
+            1.0 - reg_lower_gamma(shape, x), rel=1e-12
+        )
+    assert _reg_upper_gamma(5.0, 0.0) == 1.0
+    with pytest.raises(ValueError):
+        _reg_upper_gamma(1.0, math.nan)
+
+
 # ---------------------------------------------------------------------------
 # gamma_quantile
 # ---------------------------------------------------------------------------
@@ -152,10 +181,40 @@ def test_gamma_quantile_strictly_increasing_in_q():
     assert all(b > a for a, b in zip(quantiles, quantiles[1:]))
 
 
+@pytest.mark.parametrize("shape", [2, 3, 10, 211, 5000, 88000, 1_500_000])
+def test_gamma_quantile_against_mpmath(shape):
+    # solved on the upper form Q(k, x) = 1 - q, whose mpmath evaluation
+    # converges at every shape here; 40 digits leave room for 1 - 5e-13
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for q in [5e-13, 1e-6, 0.005, 0.5, 0.995, 1.0 - 1e-6, 1.0 - 5e-13]:
+            got = gamma_quantile(shape, 1.0, q)
+            target = 1 - mpmath.mpf(q)
+            exact = mpmath.findroot(
+                lambda x: mpmath.gammainc(shape, x, mpmath.inf, regularized=True) - target,
+                mpmath.mpf(got) * (1 + mpmath.mpf("1e-6")),
+            )
+            assert float(abs(got / exact - 1)) <= 1e-14, (shape, q)
+
+
 @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.5])
 def test_gamma_quantile_domain_errors(q):
     with pytest.raises(ValueError):
         gamma_quantile(2.0, 1.0, q)
+
+
+def test_gamma_quantile_raises_when_boost_finds_none(monkeypatch):
+    # a NaN from scipy must not travel on as an interval endpoint
+    import gpas.numerics as numerics_module
+
+    class NoQuantile:
+        @staticmethod
+        def chndtrix(q, df, nc):
+            return math.nan
+
+    monkeypatch.setattr(numerics_module, "special", NoQuantile)
+    with pytest.raises(ArithmeticError):
+        gamma_quantile(2.0, 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +348,63 @@ def test_poisson_large_mean_moments(mu):
     draws = np.array(values, dtype=float)
     assert abs(draws.mean() - mu) < 3.0 * math.sqrt(mu / 20_000)
     assert abs(draws.var(ddof=1) / mu - 1.0) < 0.05
+
+
+def _interleaved_poisson(rng):
+    # runs of every length from 1 to past a block, switching mean after each
+    means = (0.5, 15.4, 75.0)
+    runs = (1, 2, 5, 63, 64, 65, 200, 1, 1, 700)
+    draws = {mu: [] for mu in means}
+    for step in range(900):
+        mu = means[step % 3]
+        draws[mu].extend(sample_poisson(rng, mu) for _ in range(runs[step % len(runs)]))
+    return draws
+
+
+def test_poisson_buffer_interleaved_means():
+    # a change of mean discards the buffered counts; every subsequence must
+    # still be iid Poisson of its own mean, and a replay must repeat exactly
+    draws = _interleaved_poisson(RngStream(SEED, 16))
+    assert draws == _interleaved_poisson(RngStream(SEED, 16))
+    for mu, values in draws.items():
+        assert all(type(value) is int for value in values)
+        n = len(values)
+        assert n > 30_000
+        sample = np.array(values, dtype=float)
+        assert abs(sample.mean() - mu) <= 4.0 * math.sqrt(mu / n)
+        # Var(s^2) for Poisson(mu) is (mu + 2 mu^2) / n to leading order
+        assert abs(sample.var(ddof=1) - mu) <= 4.0 * math.sqrt((mu + 2.0 * mu * mu) / n)
+
+
+class _CountingGenerator:
+    """Generator proxy that records how many Poisson counts each fill draws."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.poisson_drawn = 0
+
+    def poisson(self, lam, size):
+        self.poisson_drawn += size
+        return self._gen.poisson(lam, size)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def test_poisson_buffer_restarts_small_on_a_new_mean():
+    # alternating means must not refill ever larger blocks: each switch
+    # draws one smallest block, so the mixed-calls replay stays cheap
+    rng = RngStream(77, 5)
+    counter = _CountingGenerator(rng._gen)
+    rng._gen = counter
+    _mixed_draws(rng)
+    assert counter.poisson_drawn == 8_000 * 64
+    # one mean throughout grows the blocks: 1e5 counts take few fills
+    rng = RngStream(77, 5)
+    rng._gen = counter = _CountingGenerator(rng._gen)
+    for _ in range(100_000):
+        sample_poisson(rng, 3.0)
+    assert counter.poisson_drawn < 120_000
 
 
 @pytest.mark.parametrize("mu", [-1.0, math.nan, math.inf, 1e20])

@@ -53,6 +53,15 @@ def test_poisson_chi_square_accepts_true_law_rejects_wrong_one():
     assert poisson_chi_square_pvalue(counts, 4.0) < 1e-6
 
 
+@pytest.mark.parametrize("mean", [150.0, 1000.0])
+def test_poisson_chi_square_large_means(mean):
+    # the pmf must not be built from factorials, which overflow a float
+    rng = np.random.default_rng(SEED)
+    assert poisson_chi_square_pvalue(rng.poisson(mean, size=20_000), mean) > 0.001
+    shifted = rng.poisson(1.05 * mean, size=20_000)
+    assert poisson_chi_square_pvalue(shifted, mean) < 1e-6
+
+
 def test_transfer_bounds_check_is_deterministic_pass():
     result = check_transfer_bounds()
     assert result.passed and not result.skipped
