@@ -49,8 +49,11 @@ __all__ = [
 
 ENUMERATION_LIMIT = 24
 
-# Enumeration proceeds in chunks of this many states to bound peak memory.
-_CHUNK = 1 << 20
+# Enumeration counts the edges among the lowest min(V, _LOW_BITS) vertex bits
+# once over all their assignments, then adds the remaining edges for each of
+# the at most 2^(24 - _LOW_BITS) assignments of the high bits.  Working arrays
+# hold at most 2^_LOW_BITS entries, which bounds peak memory.
+_LOW_BITS = 20
 
 # CDF tables for sample_hamiltonian sit at beta = j * step for |j| <= _GRID_LIMIT,
 # where step is the largest power of two at most 1 / (_GRID_PER_EDGE * #E).
@@ -192,9 +195,17 @@ def build_histogram(graph: LatticeGraph) -> HamiltonianHistogram:
     """Exact level counts by enumerating all 2^V configurations.
 
     States are encoded as the bits of an unsigned integer; per edge, the
-    endpoints agree exactly when the XOR of the two bits is 0.  Enumeration
-    runs in fixed-size chunks, so peak memory stays small even at the
-    24-vertex bound.
+    endpoints disagree exactly when the XOR of the two bits is 1.  The low
+    b = min(V, 20) bits form a block of 2^b states, and the disagreements of
+    the edges inside it are counted over that block once.  Each of the
+    2^(V-b) <= 16 assignments of the high bits then adds its high-high
+    disagreements (a scalar) and, per cross edge, the low endpoint's bit
+    plane or its complement (when the high endpoint is set), and bincounts
+    the sum.  So an edge inside the block costs one pass over 2^b states, a
+    cross edge one per high assignment, and a high-high edge no array work;
+    the 6x4 grid takes 30 + 16 * 5 passes where whole-state chunks took
+    16 * 38.  Working memory is a few arrays of 2^b entries, about 20 MiB at
+    b = 20, whatever V and #E are.
     """
     if graph.vertex_count > ENUMERATION_LIMIT:
         raise SizeExceededError(
@@ -202,16 +213,37 @@ def build_histogram(graph: LatticeGraph) -> HamiltonianHistogram:
             f"of {ENUMERATION_LIMIT}"
         )
     edge_count = len(graph.edges)
+    low_bits = min(graph.vertex_count, _LOW_BITS)
+    states = np.arange(1 << low_bits, dtype=np.uint32)
+    # every bit plane is built in this buffer: fresh temporaries double the time
+    term = np.empty_like(states)
+    # uint16: a simple graph on 24 vertices can carry up to 276 edges
+    low_disagreements = np.zeros(states.shape, dtype=np.uint16)
+    high_edges: list[tuple[int, int]] = []
+    cross_edges: list[tuple[int, int]] = []
+    for u, v in graph.edges:
+        u, v = min(u, v), max(u, v)
+        if v < low_bits:
+            np.right_shift(states, u, out=term)
+            term ^= states >> v
+            term &= 1
+            low_disagreements += term
+        elif u >= low_bits:
+            high_edges.append((u - low_bits, v - low_bits))
+        else:
+            cross_edges.append((u, v - low_bits))
     counts = np.zeros(edge_count + 1, dtype=np.int64)
-    total = 1 << graph.vertex_count
-    for start in range(0, total, _CHUNK):
-        states = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        # uint16: a simple graph on 24 vertices can carry up to 276 edges
-        disagreements = np.zeros(states.shape, dtype=np.uint16)
-        for u, v in graph.edges:
-            disagreements += (((states >> u) ^ (states >> v)) & 1).astype(np.uint16)
-        agreements = edge_count - disagreements.astype(np.int64)
-        counts += np.bincount(agreements, minlength=edge_count + 1)
+    disagreements = np.empty_like(low_disagreements)
+    for high in range(1 << (graph.vertex_count - low_bits)):
+        high_disagreements = sum(((high >> u) ^ (high >> v)) & 1 for u, v in high_edges)
+        np.add(low_disagreements, high_disagreements, out=disagreements)
+        for u, v in cross_edges:
+            np.right_shift(states, u, out=term)
+            term ^= high >> v
+            term &= 1
+            disagreements += term
+        # level h holds the states with edge_count - h disagreements
+        counts += np.bincount(disagreements, minlength=edge_count + 1)[::-1]
     return HamiltonianHistogram(vertex_count=graph.vertex_count, counts=counts)
 
 

@@ -11,6 +11,10 @@ Also home to the replicate harnesses the checks run on (one independent
 stream id per replicate, so they parallelize trivially) and to the
 fixed-sample Chernoff-calibrated baseline used as the comparison arm for
 call-count benchmarks.
+
+``scipy.stats`` is imported only inside the two checks that use it
+(:func:`poisson_chi_square_pvalue` and :func:`check_scale_free_error`), so
+importing this module, and through it the CLI, does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as _stats
 from scipy.special import kolmogi
 
 from .core import (
@@ -107,6 +110,9 @@ def poisson_chi_square_pvalue(counts: Sequence[int], mean: float) -> float:
     Bins are pooled from both ends until every expected count is at least 5;
     the mean is treated as known, so degrees of freedom are bins - 1.
     """
+    # imported here: scipy.stats roughly doubles the package's import cost
+    from scipy import stats as _stats
+
     counts = np.asarray(counts, dtype=np.int64)
     n = counts.size
     top = int(counts.max()) + 1
@@ -321,6 +327,9 @@ def check_scale_free_error(
     high_t, _ = replicate_gpas(mu_high, k, replicates, seed, stream_offset=replicates)
     err_low = (k - 1) / (mu_low * low_t) - 1.0
     err_high = (k - 1) / (mu_high * high_t) - 1.0
+    # imported here: scipy.stats roughly doubles the package's import cost
+    from scipy import stats as _stats
+
     statistic = float(_stats.ks_2samp(err_low, err_high, method="asymp").statistic)
     threshold = ks_critical_value(replicates, replicates)
     return PropertyResult(

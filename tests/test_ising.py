@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,17 +164,114 @@ def test_histogram_matches_brute_force(graph):
     assert build_histogram(graph).counts.tolist() == brute_force_histogram(graph)
 
 
-def test_histogram_dense_graph_closed_form():
-    # complete graph on n vertices: a configuration with a ones has
-    # H = C(a,2) + C(n-a,2); also exercises edge counts beyond 255
-    n = 17
-    edges = tuple(itertools.combinations(range(n), 2))
-    hist = build_histogram(LatticeGraph(vertex_count=n, edges=edges))
-    expected = np.zeros(len(edges) + 1, dtype=np.int64)
+def complete_graph(n):
+    return LatticeGraph(vertex_count=n, edges=tuple(itertools.combinations(range(n), 2)))
+
+
+def complete_graph_counts(n):
+    """Closed form for K_n: a configuration with a ones has
+    H = C(a,2) + C(n-a,2)."""
+    expected = np.zeros(math.comb(n, 2) + 1, dtype=np.int64)
     for ones in range(n + 1):
-        h = math.comb(ones, 2) + math.comb(n - ones, 2)
-        expected[h] += math.comb(n, ones)
-    assert np.array_equal(hist.counts, expected)
+        expected[math.comb(ones, 2) + math.comb(n - ones, 2)] += math.comb(n, ones)
+    return expected
+
+
+def chunked_histogram(graph):
+    """Independent oracle at any size: every edge recomputed over each
+    2^20-state chunk of whole states, with no split of the vertex bits."""
+    counts = np.zeros(len(graph.edges) + 1, dtype=np.int64)
+    total, chunk = 1 << graph.vertex_count, 1 << 20
+    for start in range(0, total, chunk):
+        states = np.arange(start, min(start + chunk, total), dtype=np.uint32)
+        agreements = np.zeros(states.shape, dtype=np.int64)
+        for u, v in graph.edges:
+            agreements += 1 - (((states >> u) ^ (states >> v)) & 1)
+        counts += np.bincount(agreements, minlength=len(graph.edges) + 1)
+    return counts
+
+
+def test_histogram_dense_graph_closed_form():
+    # also exercises edge counts beyond 255
+    hist = build_histogram(complete_graph(17))
+    assert np.array_equal(hist.counts, complete_graph_counts(17))
+
+
+# Level counts of the 6x4 grid, pinned from the whole-state enumeration.
+GRID_6X4_COUNTS = [
+    2, 0, 8, 40, 86, 280, 902, 2328, 6132, 15520, 36266, 79712, 164222,
+    314896, 555804, 899880, 1327336, 1764408, 2103546, 2234480, 2103546,
+    1764408, 1327336, 899880, 555804, 314896, 164222, 79712, 36266, 15520,
+    6132, 2328, 902, 280, 86, 40, 8, 0, 2,
+]
+
+
+def _relabelled(graph, seed):
+    label = np.random.default_rng(seed).permutation(graph.vertex_count).tolist()
+    return LatticeGraph(graph.vertex_count, tuple((label[u], label[v]) for u, v in graph.edges))
+
+
+def _reversed(graph):
+    return LatticeGraph(graph.vertex_count, tuple((v, u) for u, v in graph.edges))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        LatticeGraph.grid(6, 4),
+        LatticeGraph.grid(4, 6),
+        _relabelled(LatticeGraph.grid(4, 6), SEED),
+        _reversed(LatticeGraph.grid(4, 6)),
+    ],
+    ids=["6x4", "4x6", "4x6-relabelled", "4x6-reversed"],
+)
+def test_histogram_24_vertex_grid_pinned(graph):
+    # the same lattice however its vertices are numbered and edges oriented:
+    # relabelling moves edges between the low block, the cross edges and the
+    # high bits
+    assert build_histogram(graph).counts.tolist() == GRID_6X4_COUNTS
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        tuple((i, i + 1) for i in range(23)),
+        tuple((0, i) for i in range(1, 24)),
+        tuple((23, i) for i in range(23)),
+    ],
+    ids=["path", "star-low-hub", "star-high-hub"],
+)
+def test_histogram_24_vertex_trees(edges):
+    # every edge of a tree agrees independently: counts[h] = 2 C(23, h)
+    hist = build_histogram(LatticeGraph(vertex_count=24, edges=edges))
+    assert hist.counts.tolist() == [2 * math.comb(23, h) for h in range(24)]
+
+
+def test_histogram_k22_closed_form():
+    # two high bits: a high-high edge and 40 cross edges
+    assert np.array_equal(build_histogram(complete_graph(22)).counts, complete_graph_counts(22))
+
+
+def test_histogram_21_vertices_matches_chunked_oracle():
+    rng = np.random.default_rng(SEED)
+    edges = tuple(pair for pair in itertools.combinations(range(21), 2) if rng.random() < 0.3)
+    # vertex 20 is the one high bit; it must carry cross edges
+    assert any(v == 20 for _, v in edges)
+    graph = LatticeGraph(vertex_count=21, edges=edges)
+    assert np.array_equal(build_histogram(graph).counts, chunked_histogram(graph))
+
+
+@pytest.mark.parametrize(
+    "graph", [LatticeGraph.grid(6, 4), complete_graph(22)], ids=["6x4", "K22"]
+)
+def test_histogram_peak_memory_at_most_32_mib(graph):
+    tracemalloc.start()
+    try:
+        build_histogram(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, peak / 2**20
 
 
 def test_histogram_4x4_totals():

@@ -1,10 +1,16 @@
 """Property-suite plumbing and the fixed-sample comparison arm."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpas
 from gpas.core import calibrate
 from gpas.validation import (
     PropertyResult,
@@ -19,6 +25,7 @@ from gpas.validation import (
     ks_critical_value,
     ks_statistic,
     poisson_chi_square_pvalue,
+    replicate_gpas,
     replicate_two_phase,
     run_all,
 )
@@ -60,6 +67,56 @@ def test_poisson_chi_square_large_means(mean):
     assert poisson_chi_square_pvalue(rng.poisson(mean, size=20_000), mean) > 0.001
     shifted = rng.poisson(1.05 * mean, size=20_000)
     assert poisson_chi_square_pvalue(shifted, mean) < 1e-6
+
+
+# Run in a fresh interpreter: importing the package and the CLI must not load
+# scipy.stats, and the two checks that use it must load it on demand.
+_LAZY_STATS_PROGRAM = """
+import json, sys
+import numpy as np
+import gpas, gpas.cli
+loaded_by_import = "scipy.stats" in sys.modules
+from gpas.validation import check_scale_free_error, poisson_chi_square_pvalue
+seed = int(sys.argv[1])
+counts = np.minimum(np.random.default_rng(seed).poisson(3.0, size=2000), 6)
+print(json.dumps({
+    "loaded_by_import": loaded_by_import,
+    "pvalue": poisson_chi_square_pvalue(counts, 3.0),
+    "ks": check_scale_free_error(200, seed).statistic,
+}))
+"""
+
+
+def test_scipy_stats_stays_off_the_import_path():
+    from scipy import stats
+
+    src = str(Path(gpas.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _LAZY_STATS_PROGRAM, str(SEED)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    got = json.loads(result.stdout)
+    assert got["loaded_by_import"] is False
+
+    # every bin of the clipped sample expects at least 5, so nothing is pooled
+    counts = np.minimum(np.random.default_rng(SEED).poisson(3.0, size=2000), 6)
+    assert counts.max() == 6
+    observed = np.bincount(counts, minlength=8).astype(np.float64)
+    expected = np.append(stats.poisson.pmf(np.arange(7), 3.0), stats.poisson.sf(6, 3.0)) * 2000
+    assert expected.min() >= 5.0
+    statistic = float(np.sum((observed - expected) ** 2 / expected))
+    assert got["pvalue"] == float(stats.chi2.sf(statistic, 7))
+
+    low_t, _ = replicate_gpas(0.5, 100, 200, SEED)
+    high_t, _ = replicate_gpas(10.0, 100, 200, SEED, stream_offset=200)
+    err_low = 99 / (0.5 * low_t) - 1.0
+    err_high = 99 / (10.0 * high_t) - 1.0
+    assert got["ks"] == float(stats.ks_2samp(err_low, err_high, method="asymp").statistic)
 
 
 def test_transfer_bounds_check_is_deterministic_pass():
