@@ -17,10 +17,13 @@ hot path.  :func:`sample_hamiltonian` answers most draws from normalized CDF
 tables cached on the histogram at the points of a fine dyadic beta grid: the
 level law c_h e^{beta h} has a monotone likelihood ratio in beta, so the
 tables at the two grid points around beta bracket its CDF, and whenever both
-brackets invert the uniform to the same level that level is the answer.  The
-remaining draws, and every beta off the tabulated range, invert directly at
-beta.  Either way a draw returns the level the direct inversion returns for
-the same uniform.
+brackets invert the uniform to the same level that level is the answer.  Each
+grid cell also caches a guide of 256 buckets on the uniform, holding the level
+wherever the bracket is already decided for a whole bucket, so most draws
+cost one lookup.  The other draws take the two bisects, and those the
+bracket cannot settle, like every beta off the tabulated range, invert
+directly at beta.  Every path returns the level the direct inversion returns
+for the same uniform.
 """
 
 from __future__ import annotations
@@ -49,10 +52,12 @@ __all__ = [
 
 ENUMERATION_LIMIT = 24
 
-# Enumeration counts the edges among the lowest min(V, _LOW_BITS) vertex bits
-# once over all their assignments, then adds the remaining edges for each of
-# the at most 2^(24 - _LOW_BITS) assignments of the high bits.  Working arrays
-# hold at most 2^_LOW_BITS entries, which bounds peak memory.
+# Enumeration counts the edges among the lowest min(V - 1, _LOW_BITS) vertex
+# bits once over all their assignments, then adds the remaining edges for each
+# of the at most 2^(23 - _LOW_BITS) assignments of the high bits with the top
+# vertex (always a high bit) at 0; flipping every spin keeps H, so the other
+# half mirrors them.  Working arrays hold at most 2^_LOW_BITS entries, which
+# bounds peak memory.
 _LOW_BITS = 20
 
 # CDF tables for sample_hamiltonian sit at beta = j * step for |j| <= _GRID_LIMIT,
@@ -67,6 +72,9 @@ _GRID_LIMIT = 1 << 12
 # 277 levels a table entry, and the direct inversion's comparison, each differ
 # from the exact CDF by less than 1.7e-13.
 _TABLE_MARGIN = 1e-12
+# Each cell's guide splits [0, 1) into this many buckets of uniforms; a power
+# of two, so int(u * _GUIDE_SIZE) is the exact bucket of u.
+_GUIDE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -155,9 +163,11 @@ class HamiltonianHistogram:
 
     The counts array (length #E + 1) is write-locked after construction and
     the object is safe to share across threads; sampling needs only a
-    caller-owned stream.  The sampler's CDF tables are filled in lazily, one
-    slot at a time: every slot's table is a deterministic function of the
-    counts, so threads that race to fill one slot store equal tables.
+    caller-owned stream.  The sampler's CDF tables and cell guides are filled
+    in lazily, one slot at a time: every table and guide is a deterministic
+    function of the counts, so threads that race to fill one slot store equal
+    tables or equal guides, and a guide is stored only after both tables it
+    was built from.
     """
 
     vertex_count: int
@@ -167,6 +177,7 @@ class HamiltonianHistogram:
     _level_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _grid_scale: float = field(init=False, repr=False, compare=False)
     _cdf_tables: list[array | None] = field(init=False, repr=False, compare=False)
+    _guides: list[array | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -185,6 +196,7 @@ class HamiltonianHistogram:
         edges = max(counts.size - 1, 1)
         object.__setattr__(self, "_grid_scale", float(1 << (_GRID_PER_EDGE * edges - 1).bit_length()))
         object.__setattr__(self, "_cdf_tables", [None] * (2 * _GRID_LIMIT + 1))
+        object.__setattr__(self, "_guides", [None] * (2 * _GRID_LIMIT))
 
     @property
     def edge_count(self) -> int:
@@ -196,16 +208,19 @@ def build_histogram(graph: LatticeGraph) -> HamiltonianHistogram:
 
     States are encoded as the bits of an unsigned integer; per edge, the
     endpoints disagree exactly when the XOR of the two bits is 1.  The low
-    b = min(V, 20) bits form a block of 2^b states, and the disagreements of
-    the edges inside it are counted over that block once.  Each of the
-    2^(V-b) <= 16 assignments of the high bits then adds its high-high
-    disagreements (a scalar) and, per cross edge, the low endpoint's bit
-    plane or its complement (when the high endpoint is set), and bincounts
-    the sum.  So an edge inside the block costs one pass over 2^b states, a
-    cross edge one per high assignment, and a high-high edge no array work;
-    the 6x4 grid takes 30 + 16 * 5 passes where whole-state chunks took
-    16 * 38.  Working memory is a few arrays of 2^b entries, about 20 MiB at
-    b = 20, whatever V and #E are.
+    b = min(V - 1, 20) bits form a block of 2^b states, and the disagreements
+    of the edges inside it are counted over that block once.  Each assignment
+    of the high bits then adds its high-high disagreements (a scalar) and,
+    per cross edge, the low endpoint's bit plane or its complement (when the
+    high endpoint is set), and bincounts the sum.  Flipping every spin
+    changes no edge's agreement, and the top vertex is always a high bit, so
+    only the 2^(V-b-1) <= 8 high assignments with the top vertex at 0 are
+    enumerated and the counts are doubled.  So an edge inside the block
+    costs one pass over 2^b states, a cross edge one per enumerated high
+    assignment, and a high-high edge no array work; the 6x4 grid takes
+    30 + 8 * 5 passes where whole-state chunks took 16 * 38.  Working memory
+    is a few arrays of 2^b entries, about 20 MiB at b = 20, whatever V and
+    #E are.
     """
     if graph.vertex_count > ENUMERATION_LIMIT:
         raise SizeExceededError(
@@ -213,7 +228,7 @@ def build_histogram(graph: LatticeGraph) -> HamiltonianHistogram:
             f"of {ENUMERATION_LIMIT}"
         )
     edge_count = len(graph.edges)
-    low_bits = min(graph.vertex_count, _LOW_BITS)
+    low_bits = min(graph.vertex_count - 1, _LOW_BITS)
     states = np.arange(1 << low_bits, dtype=np.uint32)
     # every bit plane is built in this buffer: fresh temporaries double the time
     term = np.empty_like(states)
@@ -234,7 +249,9 @@ def build_histogram(graph: LatticeGraph) -> HamiltonianHistogram:
             cross_edges.append((u, v - low_bits))
     counts = np.zeros(edge_count + 1, dtype=np.int64)
     disagreements = np.empty_like(low_disagreements)
-    for high in range(1 << (graph.vertex_count - low_bits)):
+    # flipping every spin keeps H: enumerate the top vertex (a high bit) at 0
+    # only and double the counts
+    for high in range(1 << (graph.vertex_count - low_bits - 1)):
         high_disagreements = sum(((high >> u) ^ (high >> v)) & 1 for u, v in high_edges)
         np.add(low_disagreements, high_disagreements, out=disagreements)
         for u, v in cross_edges:
@@ -244,6 +261,7 @@ def build_histogram(graph: LatticeGraph) -> HamiltonianHistogram:
             disagreements += term
         # level h holds the states with edge_count - h disagreements
         counts += np.bincount(disagreements, minlength=edge_count + 1)[::-1]
+    counts *= 2
     return HamiltonianHistogram(vertex_count=graph.vertex_count, counts=counts)
 
 
@@ -274,6 +292,28 @@ def _cdf_table(hist: HamiltonianHistogram, j: int) -> array:
     return table
 
 
+def _cell_guide(hist: HamiltonianHistogram, j: int) -> array:
+    """The guide of the cell [b_j, b_{j+1}], built on first use and cached.
+
+    Bucket b covers the uniforms in [b / M, (b + 1) / M).  Both bracket
+    indices are nondecreasing in u, so when the lower bracket at the
+    bucket's left edge equals the upper bracket at its right edge, every
+    uniform in the bucket gets that level; the bucket stores it.  Otherwise
+    it stores -1.  Both tables are cached before the guide is.
+    """
+    tables = hist._cdf_tables
+    lower = tables[j + _GRID_LIMIT] or _cdf_table(hist, j)
+    upper = tables[j + _GRID_LIMIT + 1] or _cdf_table(hist, j + 1)
+    edges = np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE
+    # the same float comparisons bisect_right makes in sample_hamiltonian
+    low = np.searchsorted(np.frombuffer(lower), edges[:-1] - _TABLE_MARGIN, side="right")
+    high = np.searchsorted(np.frombuffer(upper), edges[1:] + _TABLE_MARGIN, side="right")
+    levels = np.array(hist._level_values, dtype=np.int16)[low]
+    guide = array("h", np.where(low == high, levels, -1).astype(np.int16).tobytes())
+    hist._guides[j + _GRID_LIMIT] = guide
+    return guide
+
+
 def sample_hamiltonian(hist: HamiltonianHistogram, beta: float, rng: RngStream) -> int:
     """Draw H(X) for X ~ Gibbs(beta): level h w.p. counts[h] e^{beta h} / Z(beta).
 
@@ -290,8 +330,15 @@ def sample_hamiltonian(hist: HamiltonianHistogram, beta: float, rng: RngStream) 
     both give the same level, it is the answer.  The margin m exceeds the
     rounding error of the tables and of the direct inversion together, so
     the bracket agrees with the direct inversion bit for bit, not merely in
-    law.  Otherwise, and for beta beyond the tabulated range, the direct
-    inversion runs at beta with the same u.
+    law.
+
+    The cell's guide settles most draws before either bisect: it holds the
+    bracket's level for each of 256 equal buckets of u in which the bracket
+    cannot change (see :func:`_cell_guide`), so a draw in such a bucket is
+    one lookup at int(256 u), exact since 256 is a power of two.  A draw in
+    any other bucket takes the two bisects, and when they differ, or for
+    beta beyond the tabulated range, the direct inversion runs at beta with
+    the same u.
 
     Raises:
         ValueError: if beta is not finite.
@@ -299,14 +346,15 @@ def sample_hamiltonian(hist: HamiltonianHistogram, beta: float, rng: RngStream) 
     x = beta * hist._grid_scale
     if -_GRID_LIMIT <= x < _GRID_LIMIT:
         u = rng.next_uniform()
-        j = floor(x)
+        slot = floor(x) + _GRID_LIMIT
+        level = (hist._guides[slot] or _cell_guide(hist, slot - _GRID_LIMIT))[
+            int(u * _GUIDE_SIZE)
+        ]
+        if level >= 0:
+            return level
         tables = hist._cdf_tables
-        index = bisect_right(
-            tables[j + _GRID_LIMIT] or _cdf_table(hist, j), u - _TABLE_MARGIN
-        )
-        if index == bisect_right(
-            tables[j + _GRID_LIMIT + 1] or _cdf_table(hist, j + 1), u + _TABLE_MARGIN
-        ):
+        index = bisect_right(tables[slot], u - _TABLE_MARGIN)
+        if index == bisect_right(tables[slot + 1], u + _TABLE_MARGIN):
             return hist._level_values[index]
     elif isfinite(beta):
         u = rng.next_uniform()

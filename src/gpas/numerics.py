@@ -224,8 +224,10 @@ class RngStream:
     Backed by the Philox counter-based generator keyed directly with the
     ``(seed, stream_id)`` pair.  Distinct keys yield statistically
     independent sequences (a documented property of that generator family),
-    each with period 2^256.  :meth:`next_uniform` serves uniforms from a
-    buffer refilled in blocks, and :func:`sample_poisson` is served the same
+    each with period 2^256.  :meth:`next_uniform` pops uniforms from an
+    iterator over a block of ``Generator.random`` draws, and draws the next
+    block (64, 256, 1024, 4096, then 16384 values) only when a call finds
+    the current one spent.  :func:`sample_poisson` is served the same
     way from a second buffer that holds counts of one mean: a call with
     another mean discards the buffered counts and restarts that buffer at its
     smallest block.  Every buffered value is an independent draw, so
@@ -240,8 +242,8 @@ class RngStream:
     """
 
     __slots__ = (
-        "seed", "stream_id", "_gen", "_buf", "_pos", "_refills",
-        "_counts", "_count_pos", "_count_refills", "_count_mu",
+        "seed", "stream_id", "_gen", "_next_buffered", "_refills",
+        "_next_count", "_count_refills", "_count_mu",
     )
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
@@ -254,41 +256,39 @@ class RngStream:
         self.stream_id = int(stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-        self._buf: list[float] = []
-        self._pos = 0
+        # __next__ of an iterator over the current block of uniforms
+        self._next_buffered = iter(()).__next__
         self._refills = 0
-        self._counts: list[int] = []
-        self._count_pos = 0
+        # __next__ of an iterator over the current block of counts of _count_mu
+        self._next_count = iter(()).__next__
         self._count_refills = 0
         self._count_mu = 0.0
 
     def next_uniform(self) -> float:
         """Next uniform variate in [0, 1)."""
-        if self._pos >= len(self._buf):
+        try:
+            return self._next_buffered()
+        except StopIteration:
             size = _BUFFER_SCHEDULE[min(self._refills, len(_BUFFER_SCHEDULE) - 1)]
             self._refills += 1
-            self._buf = self._gen.random(size).tolist()
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
+            self._next_buffered = iter(self._gen.random(size).tolist()).__next__
+            return self._next_buffered()
 
     def _next_poisson(self, mu: float) -> int:
         # sample_poisson validates mu; numpy rejects means it cannot draw
         if mu != self._count_mu:
             # counts of another mean are useless: restart the schedule small
             self._count_mu = mu
-            self._counts = []
-            self._count_pos = 0
+            self._next_count = iter(()).__next__
             self._count_refills = 0
-        if self._count_pos >= len(self._counts):
+        try:
+            return self._next_count()
+        except StopIteration:
             step = min(self._count_refills, len(_BUFFER_SCHEDULE) - 1)
-            self._counts = self._gen.poisson(mu, _BUFFER_SCHEDULE[step]).tolist()
             self._count_refills += 1
-            self._count_pos = 0
-        value = self._counts[self._count_pos]
-        self._count_pos += 1
-        return value
+            block = self._gen.poisson(mu, _BUFFER_SCHEDULE[step]).tolist()
+            self._next_count = iter(block).__next__
+            return self._next_count()
 
     def spawn(self, stream_id: int) -> "RngStream":
         """Fresh independent stream with the same seed and a new stream id."""
@@ -314,7 +314,7 @@ def sample_poisson(rng: RngStream, mu: float) -> int:
     """Poisson(mu) count from the stream's buffered counts; mu = 0 returns 0.
 
     Counts are drawn by the stream's generator in blocks of one mean (see
-    :class:`RngStream`), so a run of calls at one mean costs a list lookup
+    :class:`RngStream`), so a run of calls at one mean costs an iterator pop
     each.  The cost does not grow with mu; means above about 9.2e18 raise
     ValueError.
     """

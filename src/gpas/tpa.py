@@ -99,16 +99,21 @@ def tpa_run(
             f"[{family.beta_inner!r}, {family.beta_outer!r}]"
         )
     beta = family.beta_outer
+    beta_inner = family.beta_inner
+    # bound once: a descent runs these on every step
+    sample_hamiltonian = family.sample_hamiltonian
+    next_uniform = rng.next_uniform
+    isfinite, log = math.isfinite, math.log
     count = 0
     for _ in range(max_steps):
-        h = family.sample_hamiltonian(beta, rng)
-        if not (math.isfinite(h) and h >= 0.0):
+        h = sample_hamiltonian(beta, rng)
+        if not (isfinite(h) and h >= 0.0):
             raise ValueError(f"family produced an invalid Hamiltonian {h!r}")
-        u = rng.next_uniform()
+        u = next_uniform()
         if h == 0.0 or u == 0.0:
             break  # step lands at -inf
-        beta += math.log(u) / h
-        if beta <= family.beta_inner:
+        beta += log(u) / h
+        if beta <= beta_inner:
             break
         count += 1
     else:

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -261,6 +262,29 @@ def test_histogram_21_vertices_matches_chunked_oracle():
     assert np.array_equal(build_histogram(graph).counts, chunked_histogram(graph))
 
 
+def _sparse_low_edges(vertex_count, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(
+        pair for pair in itertools.combinations(range(vertex_count), 2) if rng.random() < 0.12
+    )
+
+
+@pytest.mark.parametrize(
+    "extra_edges",
+    [
+        ((3, 20), (11, 20), (19, 20)),
+        ((3, 20), (11, 20), (20, 21)),
+    ],
+    ids=["top-isolated", "top-high-high-only"],
+)
+def test_histogram_22_vertices_matches_chunked_oracle(extra_edges):
+    # the enumeration fixes the top vertex (21) at 0 and doubles; the oracle
+    # walks all 2^22 whole states, so a top vertex with no edge, or with only
+    # an edge to the other high vertex, must come out the same
+    graph = LatticeGraph(vertex_count=22, edges=_sparse_low_edges(20, SEED) + extra_edges)
+    assert np.array_equal(build_histogram(graph).counts, chunked_histogram(graph))
+
+
 @pytest.mark.parametrize(
     "graph", [LatticeGraph.grid(6, 4), complete_graph(22)], ids=["6x4", "K22"]
 )
@@ -465,7 +489,8 @@ def test_sampling_near_table_entries_takes_direct_inversion(width, height, monke
     hist = build_histogram(LatticeGraph.grid(width, height))
     scale = hist._grid_scale
     pairs = []
-    for j in (0, 5, -3, 1000):
+    # cells inside the range and at both of its ends
+    for j in (0, 5, -3, 1000, -ising._GRID_LIMIT, ising._GRID_LIMIT - 1):
         for beta in (j / scale, (j + 0.37) / scale):
             for edge in (j, j + 1):
                 _, cumulative = reference_cdf(hist, edge / scale)
@@ -486,6 +511,110 @@ def test_sampling_near_table_entries_takes_direct_inversion(width, height, monke
     monkeypatch.setattr(ising, "_cumulative_weights", counting)
     assert_matches_reference(hist, pairs)
     assert direct == [beta for beta, _ in pairs]
+
+
+def _guide_cells(hist):
+    """Cells at the ends of the tabulated range, near 0, and seeded ones."""
+    limit = ising._GRID_LIMIT
+    gen = np.random.default_rng(hist.edge_count)
+    return [-limit, -limit + 1, -1, 0, 1, limit - 2, limit - 1] + gen.integers(
+        -limit, limit, 12
+    ).tolist()
+
+
+@pytest.mark.parametrize("width,height", [(2, 2), (3, 3), (4, 4), (4, 6)])
+def test_sampling_at_guide_bucket_edges_matches_direct_inversion(width, height):
+    hist = build_histogram(LatticeGraph.grid(width, height))
+    size, margin = ising._GUIDE_SIZE, ising._TABLE_MARGIN
+    uniforms = []
+    for bucket in range(size):
+        edge = bucket / size
+        uniforms += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+        uniforms += [edge - margin, edge + margin]
+    uniforms.append(math.nextafter(1.0, 0.0))
+    uniforms = [u for u in uniforms if 0.0 <= u < 1.0]
+    # the cell's left end, a float past it, its middle and its last float
+    betas = []
+    for j in _guide_cells(hist):
+        left, right = j / hist._grid_scale, (j + 1) / hist._grid_scale
+        betas += [left, math.nextafter(left, math.inf), (j + 0.5) / hist._grid_scale]
+        betas.append(math.nextafter(right, -math.inf))
+    assert_matches_reference(hist, [(beta, u) for beta in betas for u in uniforms])
+
+
+@pytest.mark.parametrize("width,height", [(2, 2), (2, 3), (3, 3), (4, 4), (4, 6)])
+def test_guide_levels_hold_across_each_bucket(width, height):
+    # both bracket indices are nondecreasing in u, so a guide level is right
+    # for the whole bucket exactly when the bracket decides that level at the
+    # bucket's first and last uniforms.  At beta = 0 the tables of the small
+    # grids hold entries on bucket edges (2x2: 32/256 and 224/256), or within
+    # rounding of them, where only the margin keeps a bucket undecided
+    hist = build_histogram(LatticeGraph.grid(width, height))
+    size, margin, limit = ising._GUIDE_SIZE, ising._TABLE_MARGIN, ising._GRID_LIMIT
+    decided = 0
+    for j in _guide_cells(hist):
+        sample_hamiltonian(hist, j / hist._grid_scale, FixedUniforms([0.5]))
+        guide = hist._guides[j + limit]
+        lower, upper = hist._cdf_tables[j + limit], hist._cdf_tables[j + limit + 1]
+        assert len(guide) == size
+        for bucket, level in enumerate(guide):
+            if level < 0:
+                continue
+            decided += 1
+            for u in (bucket / size, math.nextafter((bucket + 1) / size, 0.0)):
+                index = bisect_right(lower, u - margin)
+                assert index == bisect_right(upper, u + margin), (j, bucket)
+                assert hist._level_values[index] == level, (j, bucket)
+    assert decided > 0
+
+
+@pytest.mark.parametrize("width,height", [(4, 4), (4, 6)])
+def test_guide_settles_most_draws(width, height, monkeypatch):
+    hist = build_histogram(LatticeGraph.grid(width, height))
+    gen = np.random.default_rng(width * height)
+    pairs = list(zip(gen.random(40_000).tolist(), gen.random(40_000).tolist()))
+    # fill the caches first: building a table calls _cumulative_weights too
+    for beta, _ in pairs:
+        sample_hamiltonian(hist, beta, FixedUniforms([0.5]))
+    bisects, direct = [], []
+    real_bisect, real_cumulative_weights = ising.bisect_right, ising._cumulative_weights
+
+    def counting_bisect(table, value):
+        bisects.append(value)
+        return real_bisect(table, value)
+
+    def counting_cumulative_weights(hist, beta):
+        direct.append(beta)
+        return real_cumulative_weights(hist, beta)
+
+    monkeypatch.setattr(ising, "bisect_right", counting_bisect)
+    monkeypatch.setattr(ising, "_cumulative_weights", counting_cumulative_weights)
+    assert_matches_reference(hist, pairs)
+    bracketed = len(bisects) // 2
+    assert len(bisects) == 2 * bracketed
+    guided = len(pairs) - bracketed
+    assert len(direct) <= bracketed
+    # about 6% of the buckets are undecided on 4x4 and 8% on 6x4
+    assert guided >= 0.85 * len(pairs), (guided, bracketed, len(direct))
+
+
+def test_sampler_caches_on_6x4_take_at_most_6_mib():
+    # every table and guide of beta in [0, 1]: 4097 tables, 4096 guides
+    hist = build_histogram(LatticeGraph.grid(6, 4))
+    assert hist._grid_scale == ising._GRID_LIMIT
+    betas = [j / hist._grid_scale for j in range(ising._GRID_LIMIT)]
+    uniforms = FixedUniforms([0.5] * len(betas))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        for beta in betas:
+            sample_hamiltonian(hist, beta, uniforms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert None not in hist._cdf_tables[ising._GRID_LIMIT:]
+    assert None not in hist._guides[ising._GRID_LIMIT:]
+    assert peak - start <= 6 * 2**20, (peak - start) / 2**20
 
 
 def test_sampling_threads_share_one_histogram():

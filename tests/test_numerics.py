@@ -250,6 +250,22 @@ def test_determinism_bit_identical_across_buffering():
     ]
 
 
+@pytest.mark.parametrize("seed,stream", [(0, 0), (77, 5), (2**64 - 1, 3)])
+def test_uniforms_follow_the_block_schedule(seed, stream):
+    # each refill is one Generator.random block of the next scheduled size,
+    # drawn by the call that finds the previous block spent: a Gamma draw
+    # just after a block's first uniform, and one after its last, pin both
+    # the size and the moment against the same generator driven directly
+    rng = RngStream(seed, stream)
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    for size, served in ((64, 64), (256, 256), (1024, 1024), (4096, 4096), (16384, 16384), (16384, 100)):
+        block = gen.random(size).tolist()
+        assert rng.next_uniform() == block[0]
+        assert sample_gamma(rng, 2.5, 1.0) == float(gen.gamma(2.5, 1.0))
+        assert [rng.next_uniform() for _ in range(served - 1)] == block[1:served]
+        assert sample_gamma(rng, 2.5, 1.0) == float(gen.gamma(2.5, 1.0))
+
+
 def _mixed_draws(rng):
     # interleave every draw path through 20k uniforms, so the buffer refills
     # several times between sampler calls

@@ -116,7 +116,7 @@ def test_tpa_run_rejects_bad_beta_ordering():
         tpa_run(family, RngStream(SEED))
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
 def test_tpa_run_rejects_invalid_hamiltonian(bad):
     family = ConstantHamiltonianFamily(h=bad)
     with pytest.raises(ValueError):
