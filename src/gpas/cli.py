@@ -67,10 +67,11 @@ def _unit_interval(name: str):
     return callback
 
 
-def _nonnegative(name: str):
+def _finite_mean(positive: bool):
     def callback(ctx, param, value):
-        if value is not None and value < 0:
-            raise click.BadParameter(f"{name} must be nonnegative, got {value}")
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            sign = "positive" if positive else "nonnegative"
+            raise click.BadParameter(f"mu must be a {sign} finite real, got {value}")
         return value
 
     return callback
@@ -162,7 +163,7 @@ def cmd_calibrate(epsilon, delta, k_cap, output_format, output_path) -> None:
 
 @main.command("estimate")
 @click.option(
-    "--mu", type=float, required=True, callback=_nonnegative("mu"),
+    "--mu", type=float, required=True, callback=_finite_mean(positive=False),
     help="Mean of the synthetic Poisson source.",
 )
 @_epsilon_option
@@ -372,7 +373,7 @@ def cmd_tpa_ising(
 @_epsilon_option
 @_delta_option
 @click.option(
-    "--mu", type=float, required=True,
+    "--mu", type=float, required=True, callback=_finite_mean(positive=True),
     help="Synthetic Poisson mean standing in for the descent (recorded in the output).",
 )
 @click.option(
@@ -384,8 +385,6 @@ def cmd_tpa_ising(
 @_output_option
 def cmd_bench(epsilon, delta, mu, replicates, seed, output_format, output_path) -> None:
     """Mean and stddev of total calls of the two-phase scheme at a given mu."""
-    if not mu > 0.0:
-        raise click.BadParameter("mu must be positive for bench")
     click.echo(
         f"benchmarking {replicates} replicate(s) at mu={mu}, "
         f"(epsilon, delta)=({epsilon}, {delta}), seed {seed}",

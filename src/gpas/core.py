@@ -257,6 +257,11 @@ def calibrate(epsilon: float, delta: float, k_cap: int = 10_000_000) -> Calibrat
             else:
                 lo = mid
         k_star = hi
+        if k_star > k_cap:
+            raise CalibrationError(
+                f"the minimal k for failure probability {delta} at "
+                f"epsilon={epsilon} is {k_star}, above k_cap={k_cap}"
+            )
 
     f_k = f(k_star)
     f_km1 = f(k_star - 1)
@@ -283,7 +288,6 @@ def exact_gpas(
     epsilon: float,
     delta: float,
     rng: RngStream,
-    k_cap: int = 10_000_000,
 ) -> GpasResult:
     """Run the estimator with failure probability exactly delta.
 
@@ -291,7 +295,7 @@ def exact_gpas(
     calibrated tie-break probability, and runs :func:`gpas` with the chosen
     index, so P(|mu_hat/mu - 1| > epsilon) = delta exactly.
     """
-    cal = calibrate(epsilon, delta, k_cap=k_cap)
+    cal = calibrate(epsilon, delta)
     k = cal.k - 1 if sample_bernoulli(rng, cal.p) else cal.k
     return gpas(source, k, rng)
 

@@ -129,15 +129,13 @@ class TpaPoissonSource(PoissonSource):
         family: NestedGibbsFamily,
         rng: RngStream,
         max_calls: int | None = DEFAULT_SOURCE_BUDGET,
-        max_steps: int = DEFAULT_STEP_CAP,
     ) -> None:
         super().__init__(max_calls=max_calls)
         self.family = family
         self._rng = rng
-        self._max_steps = max_steps
 
     def _draw(self) -> int:
-        return tpa_run(self.family, self._rng, max_steps=self._max_steps)
+        return tpa_run(self.family, self._rng)
 
 
 @dataclass(frozen=True)
@@ -244,11 +242,10 @@ def two_phase_scheme(
     delta: float,
     rng: RngStream,
     max_calls: int | None = DEFAULT_SOURCE_BUDGET,
-    max_steps: int = DEFAULT_STEP_CAP,
 ) -> TpaReport:
     """Two-phase ratio approximation driven by descents on ``family``."""
 
     def make_source() -> PoissonSource:
-        return TpaPoissonSource(family, rng, max_calls=max_calls, max_steps=max_steps)
+        return TpaPoissonSource(family, rng, max_calls=max_calls)
 
     return two_phase_from_source(make_source, epsilon, delta, rng)

@@ -6,6 +6,9 @@ Gamma-arrival law of the estimator, scale-freeness of its relative error,
 unbiasedness, the running-time bound, exactness of the calibrated failure
 probability, interval coverage, Poisson-ness of the nested-family descent,
 the log-to-ratio precision transfer, and the end-to-end two-phase guarantee.
+The checks are the single definition of these properties: ``gpas validate``
+runs them through :func:`run_all`, and the unit tests and acceptance criteria
+call them at their own n, seed and parameters and assert that they pass.
 
 Also home to the replicate harnesses the checks run on (one independent
 stream id per replicate, so they parallelize trivially) and to the
@@ -181,7 +184,6 @@ def replicate_two_phase(
     delta: float,
     replicates: int,
     seed: int,
-    max_calls: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-phase scheme on a synthetic Poisson(mu) source (descent bypassed).
 
@@ -191,13 +193,9 @@ def replicate_two_phase(
     totals = np.empty(replicates, dtype=np.int64)
     for i in range(replicates):
         rng = RngStream(seed, i)
-
-        def make_source() -> SyntheticPoissonSource:
-            if max_calls is None:
-                return SyntheticPoissonSource(mu, rng)
-            return SyntheticPoissonSource(mu, rng, max_calls=max_calls)
-
-        report = two_phase_from_source(make_source, epsilon, delta, rng)
+        report = two_phase_from_source(
+            lambda: SyntheticPoissonSource(mu, rng), epsilon, delta, rng
+        )
         ratios[i] = report.ratio_estimate
         totals[i] = report.total_tpa_calls
     return ratios, totals

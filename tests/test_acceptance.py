@@ -2,9 +2,11 @@
 
 Each test prints a single ``ACCEPTANCE n: PASS/FAIL`` line (run pytest with
 ``-s`` to see the lines for passing tests) and then asserts.  Criteria and
-tolerances are pinned here, not tuned: every expected value is either an
-exactly computable constant, an independently derived oracle, or a reference
-figure checked at its stated tolerance.
+tolerances are pinned, not tuned: every expected value is either an exactly
+computable constant, an independently derived oracle, or a reference figure
+checked at its stated tolerance.  A criterion that is one of the properties
+``gpas validate`` reports runs that property's ``gpas.validation`` check at
+the criterion's n and seed, so each property has a single definition.
 """
 
 import json
@@ -16,24 +18,25 @@ import pytest
 from click.testing import CliRunner
 
 from gpas.cli import main as cli_main
-from gpas.core import calibrate, confidence_interval, failure_probability, gpas
-from gpas.core import SyntheticPoissonSource
+from gpas.core import calibrate, failure_probability
 from gpas.ising import (
-    IsingGibbsFamily,
     LatticeGraph,
     build_histogram,
     log_partition_function,
     partition_function,
 )
-from gpas.numerics import RngStream, reg_lower_gamma
+from gpas.numerics import reg_lower_gamma
 from gpas.validation import (
+    PropertyResult,
     chernoff_two_phase_calls,
+    check_coverage,
+    check_exactness,
+    check_running_time,
+    check_scale_free_error,
+    check_tpa_poissonness,
     ks_critical_value,
     ks_statistic,
-    poisson_chi_square_pvalue,
-    replicate_exact_gpas,
     replicate_gpas,
-    replicate_tpa_counts,
     replicate_two_phase,
 )
 
@@ -42,6 +45,18 @@ SEED = 0
 
 def report(number: int, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number}: {'PASS' if passed else 'FAIL'} - {detail}")
+
+
+def report_check(number: int, result: PropertyResult) -> None:
+    """Report and assert a criterion that is one property check."""
+    passed = result.passed and not result.skipped
+    report(
+        number,
+        passed,
+        f"{result.name}: statistic={result.statistic} vs {result.threshold} "
+        f"({result.detail})",
+    )
+    assert passed
 
 
 def test_criterion_1_calibration_golden_values():
@@ -90,53 +105,23 @@ def test_criterion_2_arrival_time_distribution_law():
 
 @pytest.mark.slow
 def test_criterion_3_scale_free_relative_error():
-    from scipy.stats import ks_2samp
-
-    n, k = 100_000, 100
-    low_t, _ = replicate_gpas(0.5, k, n, SEED)
-    high_t, _ = replicate_gpas(10.0, k, n, SEED, stream_offset=n)
-    err_low = (k - 1) / (0.5 * low_t) - 1.0
-    err_high = (k - 1) / (10.0 * high_t) - 1.0
-    statistic = float(ks_2samp(err_low, err_high, method="asymp").statistic)
-    critical = ks_critical_value(n, n)
-    ok = statistic < critical
-    report(3, ok, f"two-sample KS={statistic:.5f} vs critical {critical:.5f}")
-    assert ok
+    # mu = 0.5 against mu = 10, k = 100, 1e5 replicates per mean
+    report_check(3, check_scale_free_error(100_000, SEED))
 
 
 def test_criterion_4_expected_draws_bound():
-    n, mu, k = 10_000, 2.0, 50
-    _, draws = replicate_gpas(mu, k, n, SEED)
-    mean = float(draws.mean())
-    se = float(draws.std(ddof=1)) / math.sqrt(n)
-    bound = 1.0 + k / mu
-    ok = mean <= bound + 3.0 * se
-    report(4, ok, f"mean draws={mean:.3f} vs bound {bound} (+3se={3 * se:.3f})")
-    assert ok
+    # mu = 2, k = 50: mean draws within [k/mu - 3se, 1 + k/mu + 3se]
+    report_check(4, check_running_time(10_000, SEED))
 
 
 def test_criterion_5_exactness_of_calibrated_failure():
-    n, mu, epsilon, delta = 20_000, 5.0, 0.3, 0.05
-    mu_hats = replicate_exact_gpas(mu, epsilon, delta, n, SEED)
-    frequency = float(np.mean(np.abs(mu_hats / mu - 1.0) > epsilon))
-    band = 3.0 * math.sqrt(delta * (1.0 - delta) / n)
-    ok = abs(frequency - delta) <= band
-    report(5, ok, f"failure frequency={frequency:.4f} vs {delta} +- {band:.4f}")
-    assert ok
+    # mu = 5, epsilon = 0.3, delta = 0.05: failure frequency delta +- 3 sigma
+    report_check(5, check_exactness(20_000, SEED))
 
 
 def test_criterion_6_interval_coverage():
-    n, mu, k, coverage = 10_000, 2.0, 200, 0.9
-    hits = 0
-    for i in range(n):
-        rng = RngStream(SEED, i)
-        ci = confidence_interval(gpas(SyntheticPoissonSource(mu, rng), k, rng), coverage)
-        hits += ci.lower <= mu <= ci.upper
-    frequency = hits / n
-    band = 3.0 * math.sqrt(coverage * (1.0 - coverage) / n)
-    ok = abs(frequency - coverage) <= band
-    report(6, ok, f"coverage frequency={frequency:.4f} vs {coverage} +- {band:.4f}")
-    assert ok
+    # mu = 2, k = 200: 90% intervals cover mu 90% +- 3 sigma of the time
+    report_check(6, check_coverage(10_000, SEED))
 
 
 def test_criterion_7_ising_enumeration_oracle():
@@ -163,15 +148,9 @@ def test_criterion_7_ising_enumeration_oracle():
 
 @pytest.mark.slow
 def test_criterion_8_descent_count_law():
-    n = 100_000
-    hist = build_histogram(LatticeGraph.grid(2, 2))
-    r = log_partition_function(hist, 1.0) - log_partition_function(hist, 0.0)
-    counts = replicate_tpa_counts(IsingGibbsFamily(hist), n, SEED)
-    pvalue = poisson_chi_square_pvalue(counts, r)
-    dispersion = float(counts.var(ddof=1) / counts.mean())
-    ok = pvalue >= 0.001 and 0.95 <= dispersion <= 1.05
-    report(8, ok, f"chi-square p={pvalue:.4f}, dispersion={dispersion:.4f}")
-    assert ok
+    # 1e5 descents on the 2x2 grid: chi-square p >= 0.001 against
+    # Poisson(ln Z(1)/Z(0)), and dispersion within 0.05 of 1
+    report_check(8, check_tpa_poissonness(100_000, SEED))
 
 
 @pytest.mark.slow

@@ -72,6 +72,12 @@ def test_calibrate_search_cap_exits_3(runner):
         ["calibrate", "--epsilon", "0.05", "--delta", "1e-10", "--k-cap", "1000"],
     )
     assert result.exit_code == 3
+    # the minimal k is 2561, inside the search's last doubling (1536, 3072]
+    args = ["calibrate", "--epsilon", "0.1", "--delta", "1e-6", "--k-cap"]
+    assert runner.invoke(main, args + ["2560"]).exit_code == 3
+    result = runner.invoke(main, args + ["2561"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["k"] == 2561
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +157,13 @@ def test_validate_powered_run_passes(runner, schema):
     )
     assert payload["all_pass"]
     assert all(not prop["skipped"] for prop in payload["properties"])
+    # every property's statistic, threshold and detail, bit for bit; the
+    # draws come from numpy's generator, so the pin holds within one version
+    golden = json.loads((DATA_DIR / "validate_golden.json").read_text())
+    fields = ("name", "statistic", "threshold", "detail")
+    assert [[prop[f] for f in fields] for prop in payload["properties"]] == [
+        [prop[f] for f in fields] for prop in golden["properties"]
+    ]
 
 
 def test_validate_csv_one_row_per_property(runner):
@@ -317,6 +330,16 @@ def test_bench_rejects_zero_mu(runner):
         main, ["bench", "--epsilon", "0.2", "--delta", "0.2", "--mu", "0"]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["estimate", "bench"])
+@pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
+def test_non_finite_mu_is_a_usage_error(runner, command, mu):
+    result = runner.invoke(
+        main, [command, "--epsilon", "0.2", "--delta", "0.2", "--mu", mu]
+    )
+    assert result.exit_code == 2
+    assert "finite" in result.output
 
 
 def test_tpa_ising_csv_one_row_per_run(runner):

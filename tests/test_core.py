@@ -20,7 +20,14 @@ from gpas.core import (
 )
 from gpas.errors import BudgetExceededError, CalibrationError
 from gpas.numerics import RngStream, reg_lower_gamma
-from gpas.validation import ks_critical_value, ks_statistic, replicate_gpas
+from gpas.validation import (
+    check_coverage,
+    check_distribution_law,
+    check_running_time,
+    check_scale_free_error,
+    check_unbiasedness,
+    replicate_gpas,
+)
 
 SEED = 202
 
@@ -110,18 +117,15 @@ def test_gpas_deterministic_under_fixed_seed():
 
 
 def test_gpas_running_time_bound():
-    # mean draws over many replicates stays at or below 1 + k/mu
-    _, draws = replicate_gpas(2.0, 50, 10_000, SEED)
-    se = draws.std(ddof=1) / math.sqrt(draws.size)
-    assert draws.mean() <= 1.0 + 50 / 2.0 + 3.0 * se
-    assert draws.mean() >= 50 / 2.0 - 3.0 * se
+    # mean draws over 1e4 replicates at mu=2, k=50 lie within 3 standard
+    # errors of [k/mu, 1 + k/mu]
+    result = check_running_time(10_000, SEED)
+    assert result.passed and not result.skipped
 
 
 def test_gpas_arrival_law_ks():
-    mu, k, n = 3.0, 100, 20_000
-    t_primes, _ = replicate_gpas(mu, k, n, SEED)
-    statistic = ks_statistic(mu * t_primes, lambda x: reg_lower_gamma(k, x))
-    assert statistic < ks_critical_value(n)
+    result = check_distribution_law(20_000, SEED)
+    assert result.passed and not result.skipped
 
 
 @pytest.mark.slow
@@ -131,18 +135,13 @@ def test_gpas_arrival_law_full_grid(mu, k):
     # the distributional identity over the whole (mu, k) grid; 2e4
     # replicates per cell keeps the grid affordable (the KS threshold
     # scales with n), while the acceptance suite runs three cells at 1e5
-    n = 20_000
-    t_primes, _ = replicate_gpas(mu, k, n, SEED + k)
-    statistic = ks_statistic(mu * t_primes, lambda x: reg_lower_gamma(k, x))
-    assert statistic < ks_critical_value(n)
+    result = check_distribution_law(20_000, SEED + k, mu=mu, k=k)
+    assert result.passed and not result.skipped
 
 
 def test_gpas_unbiased():
-    mu, k, n = 3.0, 50, 20_000
-    t_primes, _ = replicate_gpas(mu, k, n, SEED)
-    mu_hats = (k - 1) / t_primes
-    band = 3.0 * (mu / math.sqrt(k - 2)) / math.sqrt(n)
-    assert abs(mu_hats.mean() - mu) < band
+    result = check_unbiasedness(20_000, SEED)
+    assert result.passed and not result.skipped
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +246,10 @@ def test_calibrate_minimality_by_scan():
 def test_calibrate_search_cap():
     with pytest.raises(CalibrationError):
         calibrate(0.05, 1e-10, k_cap=1000)
+    # the minimal k, 2561, lies inside the last doubling bracket (1536, 3072]
+    with pytest.raises(CalibrationError, match="2561, above k_cap=2560"):
+        calibrate(0.1, 1e-6, k_cap=2560)
+    assert calibrate(0.1, 1e-6, k_cap=2561).k == 2561
 
 
 def test_calibrate_detects_non_monotone_failure_probability(monkeypatch):
@@ -353,15 +356,8 @@ def test_success_probability_identity_k1000():
 
 
 def test_confidence_interval_coverage_monte_carlo():
-    mu, k, coverage, n = 2.0, 200, 0.9, 2000
-    hits = 0
-    for i in range(n):
-        rng = RngStream(SEED, i)
-        source = SyntheticPoissonSource(mu, rng)
-        ci = confidence_interval(gpas(source, k, rng), coverage)
-        hits += ci.lower <= mu <= ci.upper
-    band = 3.0 * math.sqrt(coverage * (1.0 - coverage) / n)
-    assert abs(hits / n - coverage) <= band
+    result = check_coverage(2000, SEED)
+    assert result.passed and not result.skipped
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -394,12 +390,5 @@ def test_confidence_interval_domain_errors(coverage):
 
 
 def test_relative_error_distribution_is_scale_free():
-    from scipy.stats import ks_2samp
-
-    k, n = 100, 20_000
-    low_t, _ = replicate_gpas(0.5, k, n, SEED)
-    high_t, _ = replicate_gpas(10.0, k, n, SEED, stream_offset=n)
-    err_low = (k - 1) / (0.5 * low_t) - 1.0
-    err_high = (k - 1) / (10.0 * high_t) - 1.0
-    statistic = ks_2samp(err_low, err_high, method="asymp").statistic
-    assert statistic < ks_critical_value(n, n)
+    result = check_scale_free_error(20_000, SEED)
+    assert result.passed and not result.skipped
