@@ -48,7 +48,6 @@ from .numerics import (
     sample_bernoulli,
     sample_gamma,
     sample_poisson,
-    sample_uniform,
 )
 from .tpa import (
     NestedGibbsFamily,
@@ -101,7 +100,6 @@ __all__ = [
     "sample_gamma",
     "sample_hamiltonian",
     "sample_poisson",
-    "sample_uniform",
     "tpa_run",
     "two_phase_from_source",
     "two_phase_scheme",

@@ -67,22 +67,22 @@ class PoissonSource(ABC):
     """Stream of iid nonnegative integer counts with a common unknown mean.
 
     Implementors supply :meth:`_draw`; the base class counts calls and
-    enforces the optional ``max_calls`` budget.  The budget is the guard
-    against a mean of (nearly) zero, where a sequential stopping rule would
-    never accumulate enough arrivals to terminate.
+    enforces the ``max_calls`` budget, which every source has.  The budget
+    is the guard against a mean of (nearly) zero, where a sequential
+    stopping rule would never accumulate enough arrivals to terminate.
 
     A source is single-owner state: one estimator run at a time.
     """
 
-    def __init__(self, max_calls: int | None = DEFAULT_SOURCE_BUDGET) -> None:
-        if max_calls is not None and max_calls < 1:
-            raise ValueError(f"max_calls must be positive or None, got {max_calls!r}")
+    def __init__(self, max_calls: int = DEFAULT_SOURCE_BUDGET) -> None:
+        if max_calls < 1:
+            raise ValueError(f"max_calls must be positive, got {max_calls!r}")
         self.max_calls = max_calls
         self.call_count = 0
 
     def next_count(self) -> int:
         """Draw the next count; increments ``call_count`` by exactly one."""
-        if self.max_calls is not None and self.call_count >= self.max_calls:
+        if self.call_count >= self.max_calls:
             raise BudgetExceededError(
                 f"count source exhausted its budget of {self.max_calls} draws"
             )
@@ -102,7 +102,7 @@ class SyntheticPoissonSource(PoissonSource):
         self,
         mu: float,
         rng: RngStream,
-        max_calls: int | None = DEFAULT_SOURCE_BUDGET,
+        max_calls: int = DEFAULT_SOURCE_BUDGET,
     ) -> None:
         if not (math.isfinite(mu) and mu >= 0.0):
             raise ValueError(f"mu must be a nonnegative finite real, got {mu!r}")

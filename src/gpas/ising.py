@@ -21,9 +21,9 @@ brackets invert the uniform to the same level that level is the answer.  Each
 grid cell also caches a guide of 256 buckets on the uniform, holding the level
 wherever the bracket is already decided for a whole bucket, so most draws
 cost one lookup.  The other draws take the two bisects, and those the
-bracket cannot settle, like every beta off the tabulated range, invert
-directly at beta.  Every path returns the level the direct inversion returns
-for the same uniform.
+bracket cannot settle, like every beta off the tabulated range (negative
+betas among them: no descent visits one), invert directly at beta.  Every
+path returns the level the direct inversion returns for the same uniform.
 """
 
 from __future__ import annotations
@@ -60,17 +60,21 @@ ENUMERATION_LIMIT = 24
 # bounds peak memory.
 _LOW_BITS = 20
 
-# CDF tables for sample_hamiltonian sit at beta = j * step for |j| <= _GRID_LIMIT,
-# where step is the largest power of two at most 1 / (_GRID_PER_EDGE * #E).
-# The limit caps the cache at 2 * _GRID_LIMIT + 1 tables of at most #E + 1
-# doubles each, and the tabulated range at |beta| * #E <= 64.
+# CDF tables for sample_hamiltonian sit at beta = j * step for
+# 0 <= j <= _GRID_LIMIT, where step is the largest power of two at most
+# 1 / (_GRID_PER_EDGE * #E).  The limit caps the cache at _GRID_LIMIT + 1
+# tables of at most #E + 1 doubles each.  The tabulated range, top point
+# included, spans beta * #E from 0 to somewhere in (32, 64], so at least 32,
+# and covers all of [0, 1] on every graph of at most 64 edges.
 _GRID_PER_EDGE = 64
 _GRID_LIMIT = 1 << 12
+# the same bound as a float, so the sampler's range checks compare floats
+_GRID_TOP = float(_GRID_LIMIT)
 # A bracket decides a draw only when the uniform clears the table entries it
 # is compared with by this margin.  In the tabulated range every log weight is
-# below 81 in magnitude (|ln count| <= 24 ln 2, |beta h| <= 64), so with up to
-# 277 levels a table entry, and the direct inversion's comparison, each differ
-# from the exact CDF by less than 1.7e-13.
+# below 81 in magnitude (|ln count| <= 24 ln 2, 0 <= beta h <= 64), so with up
+# to 277 levels a table entry, and the direct inversion's comparison, each
+# differ from the exact CDF by less than 1.7e-13.
 _TABLE_MARGIN = 1e-12
 # Each cell's guide splits [0, 1) into this many buckets of uniforms; a power
 # of two, so int(u * _GUIDE_SIZE) is the exact bucket of u.
@@ -157,27 +161,30 @@ class LatticeGraph:
         return cls(vertex_count=vertex_count, edges=tuple(edges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianHistogram:
     """Exact level counts: counts[h] = #{x in {0,1}^V : H(x) = h}.
 
     The counts array (length #E + 1) is write-locked after construction and
     the object is safe to share across threads; sampling needs only a
-    caller-owned stream.  The sampler's CDF tables and cell guides are filled
-    in lazily, one slot at a time: every table and guide is a deterministic
-    function of the counts, so threads that race to fill one slot store equal
-    tables or equal guides, and a guide is stored only after both tables it
-    was built from.
+    caller-owned stream.  The sampler's CDF tables (one per grid point j) and
+    cell guides (one per cell [b_j, b_{j+1}]) are filled in lazily, one slot
+    at a time: every table and guide is a deterministic function of the
+    counts, so threads that race to fill one slot store equal tables or equal
+    guides, and a guide is stored only after both tables it was built from.
+
+    Histograms compare and hash by identity: those lazy caches make value
+    equality meaningless, and an ndarray has no truth value to compare by.
     """
 
     vertex_count: int
     counts: np.ndarray
-    _levels: np.ndarray = field(init=False, repr=False, compare=False)
-    _log_counts: np.ndarray = field(init=False, repr=False, compare=False)
-    _level_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _grid_scale: float = field(init=False, repr=False, compare=False)
-    _cdf_tables: list[array | None] = field(init=False, repr=False, compare=False)
-    _guides: list[array | None] = field(init=False, repr=False, compare=False)
+    _levels: np.ndarray = field(init=False, repr=False)
+    _log_counts: np.ndarray = field(init=False, repr=False)
+    _level_values: tuple[int, ...] = field(init=False, repr=False)
+    _grid_scale: float = field(init=False, repr=False)
+    _cdf_tables: list[array | None] = field(init=False, repr=False)
+    _guides: list[array | None] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -195,8 +202,8 @@ class HamiltonianHistogram:
         object.__setattr__(self, "_level_values", tuple(occupied.tolist()))
         edges = max(counts.size - 1, 1)
         object.__setattr__(self, "_grid_scale", float(1 << (_GRID_PER_EDGE * edges - 1).bit_length()))
-        object.__setattr__(self, "_cdf_tables", [None] * (2 * _GRID_LIMIT + 1))
-        object.__setattr__(self, "_guides", [None] * (2 * _GRID_LIMIT))
+        object.__setattr__(self, "_cdf_tables", [None] * (_GRID_LIMIT + 1))
+        object.__setattr__(self, "_guides", [None] * _GRID_LIMIT)
 
     @property
     def edge_count(self) -> int:
@@ -288,7 +295,7 @@ def _cdf_table(hist: HamiltonianHistogram, j: int) -> array:
     """The normalized CDF at grid point j, built on first use and cached."""
     cumulative = _cumulative_weights(hist, j / hist._grid_scale)
     table = array("d", (cumulative / cumulative[-1]).tobytes())
-    hist._cdf_tables[j + _GRID_LIMIT] = table
+    hist._cdf_tables[j] = table
     return table
 
 
@@ -302,15 +309,15 @@ def _cell_guide(hist: HamiltonianHistogram, j: int) -> array:
     it stores -1.  Both tables are cached before the guide is.
     """
     tables = hist._cdf_tables
-    lower = tables[j + _GRID_LIMIT] or _cdf_table(hist, j)
-    upper = tables[j + _GRID_LIMIT + 1] or _cdf_table(hist, j + 1)
+    lower = tables[j] or _cdf_table(hist, j)
+    upper = tables[j + 1] or _cdf_table(hist, j + 1)
     edges = np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE
     # the same float comparisons bisect_right makes in sample_hamiltonian
     low = np.searchsorted(np.frombuffer(lower), edges[:-1] - _TABLE_MARGIN, side="right")
     high = np.searchsorted(np.frombuffer(upper), edges[1:] + _TABLE_MARGIN, side="right")
     levels = np.array(hist._level_values, dtype=np.int16)[low]
     guide = array("h", np.where(low == high, levels, -1).astype(np.int16).tobytes())
-    hist._guides[j + _GRID_LIMIT] = guide
+    hist._guides[j] = guide
     return guide
 
 
@@ -321,8 +328,9 @@ def sample_hamiltonian(hist: HamiltonianHistogram, beta: float, rng: RngStream) 
     cumulative weight exceeds u times the total, with weights exponentiated
     against the peak log weight so no beta overflows.
 
-    Most draws skip that computation.  On the grid b_j = j * step (step a
-    power of two, so beta lies exactly in a cell [b_j, b_{j+1}]), the level
+    Most draws skip that computation.  On the grid b_j = j * step for
+    0 <= j <= L (step a power of two, so a beta in [0, b_L] lies exactly in
+    a cell [b_j, b_{j+1}], and b_L closes the last one), the level
     law has a monotone likelihood ratio in beta, so its CDF is nonincreasing
     in beta: F_{b_{j+1}}(h) <= F_beta(h) <= F_{b_j}(h) at every level.
     Inverting u - m in the cached table of F_{b_j} and u + m in that of
@@ -337,24 +345,22 @@ def sample_hamiltonian(hist: HamiltonianHistogram, beta: float, rng: RngStream) 
     cannot change (see :func:`_cell_guide`), so a draw in such a bucket is
     one lookup at int(256 u), exact since 256 is a power of two.  A draw in
     any other bucket takes the two bisects, and when they differ, or for
-    beta beyond the tabulated range, the direct inversion runs at beta with
-    the same u.
+    beta outside [0, b_L], negative betas included, the direct inversion
+    runs at beta with the same u.
 
     Raises:
         ValueError: if beta is not finite.
     """
     x = beta * hist._grid_scale
-    if -_GRID_LIMIT <= x < _GRID_LIMIT:
+    if 0.0 <= x <= _GRID_TOP:
         u = rng.next_uniform()
-        slot = floor(x) + _GRID_LIMIT
-        level = (hist._guides[slot] or _cell_guide(hist, slot - _GRID_LIMIT))[
-            int(u * _GUIDE_SIZE)
-        ]
+        j = floor(x) if x < _GRID_TOP else _GRID_LIMIT - 1
+        level = (hist._guides[j] or _cell_guide(hist, j))[int(u * _GUIDE_SIZE)]
         if level >= 0:
             return level
         tables = hist._cdf_tables
-        index = bisect_right(tables[slot], u - _TABLE_MARGIN)
-        if index == bisect_right(tables[slot + 1], u + _TABLE_MARGIN):
+        index = bisect_right(tables[j], u - _TABLE_MARGIN)
+        if index == bisect_right(tables[j + 1], u + _TABLE_MARGIN):
             return hist._level_values[index]
     elif isfinite(beta):
         u = rng.next_uniform()
@@ -377,5 +383,5 @@ class IsingGibbsFamily(NestedGibbsFamily):
     beta_outer: float = 1.0
     beta_inner: float = 0.0
 
-    def sample_hamiltonian(self, beta: float, rng: RngStream) -> float:
-        return float(sample_hamiltonian(self.histogram, beta, rng))
+    def sample_hamiltonian(self, beta: float, rng: RngStream) -> int:
+        return sample_hamiltonian(self.histogram, beta, rng)

@@ -1,12 +1,12 @@
 """Special functions and random variate generation.
 
 Everything stochastic in this package is driven by :class:`RngStream`, a
-seedable stream addressed by a ``(seed, stream_id)`` pair.  Uniforms and
-Bernoulli draws come from the stream's buffered uniforms, Poisson counts from
-its buffered counts of one mean, and Gamma and Beta draws straight from its
-underlying numpy generator.  The same pair and the same sequence of calls
-reproduce the same draws within one numpy version, and independent
-replicates run on distinct stream ids.
+seedable stream addressed by a ``(seed, stream_id)`` pair.  Uniforms
+(:meth:`RngStream.next_uniform`) and Bernoulli draws come from the stream's
+buffered uniforms, Poisson counts from its buffered counts of one mean, and
+Gamma and Beta draws straight from its underlying numpy generator.  The same
+pair and the same sequence of calls reproduce the same draws within one numpy
+version, and independent replicates run on distinct stream ids.
 
 The deterministic side supplies exact Gamma tail probabilities and quantiles
 to the calibration and confidence-interval code: the regularized lower
@@ -26,7 +26,6 @@ __all__ = [
     "RngStream",
     "reg_lower_gamma",
     "gamma_quantile",
-    "sample_uniform",
     "sample_bernoulli",
     "sample_poisson",
     "sample_gamma",
@@ -140,7 +139,8 @@ def _gamma_prefactor(shape: float, x: float) -> float:
 
 
 def _lower_series(shape: float, x: float) -> float:
-    # P(shape, x) = x^shape e^-x / Gamma(shape) * sum_n x^n / (shape)_(n+1)
+    # P(shape, x) = x^shape e^-x / Gamma(shape) * sum_n x^n / (shape)_(n+1);
+    # shape and x are positive, so every term and partial sum is too
     denom = shape
     term = 1.0 / shape
     total = term
@@ -148,7 +148,7 @@ def _lower_series(shape: float, x: float) -> float:
         denom += 1.0
         term *= x / denom
         total += term
-        if abs(term) < abs(total) * _REL_TERM_TOL:
+        if term < total * _REL_TERM_TOL:
             return total * _gamma_prefactor(shape, x)
     raise ArithmeticError(
         f"lower gamma series did not converge for shape={shape}, x={x}"
@@ -290,17 +290,8 @@ class RngStream:
             self._next_count = iter(block).__next__
             return self._next_count()
 
-    def spawn(self, stream_id: int) -> "RngStream":
-        """Fresh independent stream with the same seed and a new stream id."""
-        return RngStream(self.seed, stream_id)
-
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def sample_uniform(rng: RngStream) -> float:
-    """Uniform draw on [0, 1)."""
-    return rng.next_uniform()
 
 
 def sample_bernoulli(rng: RngStream, p: float) -> bool:

@@ -87,14 +87,14 @@ class PropertyResult:
 # ---------------------------------------------------------------------------
 
 
-def ks_critical_value(n: int, m: int | None = None, alpha: float = KS_SIGNIFICANCE) -> float:
-    """Asymptotic Kolmogorov-Smirnov critical value at significance alpha.
+def ks_critical_value(n: int, m: int | None = None) -> float:
+    """Asymptotic Kolmogorov-Smirnov critical value at :data:`KS_SIGNIFICANCE`.
 
     One-sample for ``m is None``; otherwise the two-sample value for sizes
     (n, m).
     """
     scale = math.sqrt((n + m) / (n * m)) if m is not None else 1.0 / math.sqrt(n)
-    return float(kolmogi(alpha)) * scale
+    return float(kolmogi(KS_SIGNIFICANCE)) * scale
 
 
 def ks_statistic(sample: Sequence[float], cdf: Callable[[float], float]) -> float:

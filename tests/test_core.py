@@ -45,8 +45,8 @@ GOLDEN_EXACT_GPAS = GpasResult(
 class ScriptedSource(PoissonSource):
     """Replays a fixed count sequence; for exercising the loop mechanics."""
 
-    def __init__(self, counts, max_calls=None):
-        super().__init__(max_calls=max_calls)
+    def __init__(self, counts):
+        super().__init__()
         self._counts = list(counts)
 
     def _draw(self):

@@ -317,6 +317,18 @@ def test_histogram_counts_are_write_locked():
         hist.counts[0] = 99
 
 
+def test_histogram_and_family_compare_and_hash():
+    # a histogram compares by identity; a family by its fields
+    hist = build_histogram(LatticeGraph.grid(2, 2))
+    assert hist == hist
+    assert hist != build_histogram(LatticeGraph.grid(2, 2))
+    family = IsingGibbsFamily(hist)
+    assert hash(family) == hash(IsingGibbsFamily(hist))
+    assert family == IsingGibbsFamily(hist)
+    assert family in {IsingGibbsFamily(hist)}
+    assert IsingGibbsFamily(hist, beta_outer=2.0) not in {family}
+
+
 # ---------------------------------------------------------------------------
 # partition_function
 # ---------------------------------------------------------------------------
@@ -427,10 +439,11 @@ def test_family_contract():
     hist = build_histogram(LatticeGraph.grid(2, 2))
     family = IsingGibbsFamily(hist)
     assert family.beta_inner < family.beta_outer
-    rng = RngStream(SEED, 4)
-    values = {family.sample_hamiltonian(0.3, rng) for _ in range(2000)}
-    assert values <= {0.0, 2.0, 4.0}
-    assert all(isinstance(v, float) for v in values)
+    rng, twin = RngStream(SEED, 4), RngStream(SEED, 4)
+    draws = [family.sample_hamiltonian(0.3, rng) for _ in range(2000)]
+    assert set(draws) == {0, 2, 4}
+    # the family hands on the level the histogram sampler draws
+    assert draws == [sample_hamiltonian(hist, 0.3, twin) for _ in range(2000)]
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
@@ -487,11 +500,13 @@ def test_sampling_matches_direct_inversion_bit_for_bit(width, height):
 @pytest.mark.parametrize("width,height", [(3, 3), (4, 4)])
 def test_sampling_near_table_entries_takes_direct_inversion(width, height, monkeypatch):
     hist = build_histogram(LatticeGraph.grid(width, height))
-    scale = hist._grid_scale
+    scale, limit = hist._grid_scale, ising._GRID_LIMIT
     pairs = []
-    # cells inside the range and at both of its ends
-    for j in (0, 5, -3, 1000, -ising._GRID_LIMIT, ising._GRID_LIMIT - 1):
-        for beta in (j / scale, (j + 0.37) / scale):
+    # cells inside the range and at both of its ends, and the closed top
+    # point, which lies in the last cell
+    cells = {0: (0.0, 0.37), 5: (0.0, 0.37), 1000: (0.0, 0.37), limit - 1: (0.0, 0.37, 1.0)}
+    for j, offsets in cells.items():
+        for beta in ((j + offset) / scale for offset in offsets):
             for edge in (j, j + 1):
                 _, cumulative = reference_cdf(hist, edge / scale)
                 for entry in (cumulative / cumulative[-1]).tolist():
@@ -514,12 +529,10 @@ def test_sampling_near_table_entries_takes_direct_inversion(width, height, monke
 
 
 def _guide_cells(hist):
-    """Cells at the ends of the tabulated range, near 0, and seeded ones."""
+    """Cells at both ends of the tabulated range [0, L], and seeded ones."""
     limit = ising._GRID_LIMIT
     gen = np.random.default_rng(hist.edge_count)
-    return [-limit, -limit + 1, -1, 0, 1, limit - 2, limit - 1] + gen.integers(
-        -limit, limit, 12
-    ).tolist()
+    return [0, 1, 2, limit - 2, limit - 1] + gen.integers(0, limit, 12).tolist()
 
 
 @pytest.mark.parametrize("width,height", [(2, 2), (3, 3), (4, 4), (4, 6)])
@@ -533,12 +546,13 @@ def test_sampling_at_guide_bucket_edges_matches_direct_inversion(width, height):
         uniforms += [edge - margin, edge + margin]
     uniforms.append(math.nextafter(1.0, 0.0))
     uniforms = [u for u in uniforms if 0.0 <= u < 1.0]
-    # the cell's left end, a float past it, its middle and its last float
+    # the cell's left end, a float past it, its middle, its last float and
+    # its right end (the next cell's left end, or the closed top point)
     betas = []
     for j in _guide_cells(hist):
         left, right = j / hist._grid_scale, (j + 1) / hist._grid_scale
         betas += [left, math.nextafter(left, math.inf), (j + 0.5) / hist._grid_scale]
-        betas.append(math.nextafter(right, -math.inf))
+        betas += [math.nextafter(right, -math.inf), right]
     assert_matches_reference(hist, [(beta, u) for beta in betas for u in uniforms])
 
 
@@ -552,10 +566,13 @@ def test_guide_levels_hold_across_each_bucket(width, height):
     hist = build_histogram(LatticeGraph.grid(width, height))
     size, margin, limit = ising._GUIDE_SIZE, ising._TABLE_MARGIN, ising._GRID_LIMIT
     decided = 0
+    # the closed top point lies in the last cell and fills its guide
+    sample_hamiltonian(hist, limit / hist._grid_scale, FixedUniforms([0.5]))
+    assert hist._guides[limit - 1] is not None
     for j in _guide_cells(hist):
         sample_hamiltonian(hist, j / hist._grid_scale, FixedUniforms([0.5]))
-        guide = hist._guides[j + limit]
-        lower, upper = hist._cdf_tables[j + limit], hist._cdf_tables[j + limit + 1]
+        guide = hist._guides[j]
+        lower, upper = hist._cdf_tables[j], hist._cdf_tables[j + 1]
         assert len(guide) == size
         for bucket, level in enumerate(guide):
             if level < 0:
@@ -599,10 +616,12 @@ def test_guide_settles_most_draws(width, height, monkeypatch):
 
 
 def test_sampler_caches_on_6x4_take_at_most_6_mib():
-    # every table and guide of beta in [0, 1]: 4097 tables, 4096 guides
+    # every table and guide of beta in [0, 1], which is the whole cache:
+    # 4097 tables, 4096 guides
     hist = build_histogram(LatticeGraph.grid(6, 4))
     assert hist._grid_scale == ising._GRID_LIMIT
-    betas = [j / hist._grid_scale for j in range(ising._GRID_LIMIT)]
+    betas = [j / hist._grid_scale for j in range(ising._GRID_LIMIT + 1)]
+    assert betas[-1] == 1.0
     uniforms = FixedUniforms([0.5] * len(betas))
     tracemalloc.start()
     try:
@@ -612,9 +631,38 @@ def test_sampler_caches_on_6x4_take_at_most_6_mib():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert None not in hist._cdf_tables[ising._GRID_LIMIT:]
-    assert None not in hist._guides[ising._GRID_LIMIT:]
+    assert len(hist._cdf_tables) == ising._GRID_LIMIT + 1 and None not in hist._cdf_tables
+    assert len(hist._guides) == ising._GRID_LIMIT and None not in hist._guides
     assert peak - start <= 6 * 2**20, (peak - start) / 2**20
+
+
+def test_sampling_at_beta_one_on_6x4_takes_the_tables(monkeypatch):
+    # beta = 1, where every descent starts, is the closed top point of the
+    # 6x4 grid (38 edges, grid scale 4096), so it lies in the last cell:
+    # once that cell is warm, every draw its bracket decides is settled
+    # without the direct inversion
+    hist = build_histogram(LatticeGraph.grid(6, 4))
+    limit, margin = ising._GRID_LIMIT, ising._TABLE_MARGIN
+    assert hist._grid_scale == limit
+    sample_hamiltonian(hist, 1.0, FixedUniforms([0.5]))
+    lower, upper = hist._cdf_tables[limit - 1], hist._cdf_tables[limit]
+    uniforms = np.random.default_rng(38).random(20_000).tolist()
+    decided = [
+        u for u in uniforms
+        if bisect_right(lower, u - margin) == bisect_right(upper, u + margin)
+    ]
+    # the cell is 1/4096 wide, so its bracket leaves few uniforms undecided
+    assert len(decided) >= 0.99 * len(uniforms)
+    direct = []
+    real_cumulative_weights = ising._cumulative_weights
+
+    def counting(hist, beta):
+        direct.append(beta)
+        return real_cumulative_weights(hist, beta)
+
+    monkeypatch.setattr(ising, "_cumulative_weights", counting)
+    assert_matches_reference(hist, [(1.0, u) for u in decided])
+    assert direct == []
 
 
 def test_sampling_threads_share_one_histogram():

@@ -18,7 +18,6 @@ from gpas.numerics import (
     sample_bernoulli,
     sample_gamma,
     sample_poisson,
-    sample_uniform,
 )
 
 SEED = 101
@@ -224,20 +223,20 @@ def test_gamma_quantile_raises_when_boost_finds_none(monkeypatch):
 
 def test_uniform_golden_sequence():
     rng = RngStream(0, 0)
-    got = [sample_uniform(rng) for _ in range(len(GOLDEN_UNIFORMS))]
+    got = [rng.next_uniform() for _ in range(len(GOLDEN_UNIFORMS))]
     assert got == GOLDEN_UNIFORMS
 
 
 def test_uniform_range_contract():
     rng = RngStream(SEED)
     for _ in range(10_000):
-        u = sample_uniform(rng)
+        u = rng.next_uniform()
         assert 0.0 <= u < 1.0
 
 
 def test_uniform_mean():
     rng = RngStream(SEED, 1)
-    draws = np.array([sample_uniform(rng) for _ in range(100_000)])
+    draws = np.array([rng.next_uniform() for _ in range(100_000)])
     assert abs(draws.mean() - 0.5) < 0.005
 
 
@@ -295,14 +294,6 @@ def test_distinct_stream_ids_differ_and_decorrelate():
     ys = np.array([b.next_uniform() for _ in range(10_000)])
     assert not np.array_equal(xs, ys)
     assert abs(np.corrcoef(xs, ys)[0, 1]) < 0.05
-
-
-def test_spawn_matches_direct_construction():
-    direct = RngStream(9, 4)
-    spawned = RngStream(9, 0).spawn(4)
-    assert [direct.next_uniform() for _ in range(100)] == [
-        spawned.next_uniform() for _ in range(100)
-    ]
 
 
 @pytest.mark.parametrize("seed,stream", [(-1, 0), (2**64, 0), (0, -3), (1.5, 0)])
@@ -455,7 +446,7 @@ def test_gamma_sum_of_exponentials_matches_single_draw():
     rng = RngStream(SEED, 9)
     k, mu = 70, 1.3
     sums = np.array([
-        sum(-math.log(1.0 - sample_uniform(rng)) / mu for _ in range(k))
+        sum(-math.log(1.0 - rng.next_uniform()) / mu for _ in range(k))
         for _ in range(10_000)
     ])
     singles = np.array([sample_gamma(rng, float(k), mu) for _ in range(10_000)])
@@ -500,7 +491,7 @@ def test_beta_matches_uniform_order_statistic():
     rng = RngStream(SEED, 13)
     n, i = 7, 3
     order_stats = np.array([
-        sorted(sample_uniform(rng) for _ in range(n))[i - 1]
+        sorted(rng.next_uniform() for _ in range(n))[i - 1]
         for _ in range(10_000)
     ])
     betas = np.array([sample_beta(rng, i, n - i + 1) for _ in range(10_000)])

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from gpas import tpa
 from gpas.core import SyntheticPoissonSource
 from gpas.errors import BudgetExceededError, DegenerateRatioError, IterationCapError
 from gpas.ising import IsingGibbsFamily, LatticeGraph, build_histogram
@@ -103,11 +104,12 @@ def test_beta_trajectory_strictly_decreases():
         assert all(b <= family.beta_outer for b in family.betas)
 
 
-def test_tpa_run_iteration_cap():
+def test_tpa_run_iteration_cap(monkeypatch):
     # an enormous constant Hamiltonian makes each step microscopic
     family = ConstantHamiltonianFamily(h=1e9)
-    with pytest.raises(IterationCapError):
-        tpa_run(family, RngStream(SEED), max_steps=100)
+    monkeypatch.setattr(tpa, "DEFAULT_STEP_CAP", 100)
+    with pytest.raises(IterationCapError, match="within 100 steps"):
+        tpa_run(family, RngStream(SEED))
 
 
 def test_tpa_run_rejects_bad_beta_ordering():
