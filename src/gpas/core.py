@@ -31,6 +31,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from scipy.special import ndtri
+
 from .errors import BudgetExceededError, CalibrationError
 from .numerics import (
     RngStream,
@@ -213,17 +215,26 @@ def failure_probability(k: int, epsilon: float) -> float:
 def calibrate(epsilon: float, delta: float, k_cap: int = 10_000_000) -> Calibration:
     """Find the minimal k >= 3 whose failure probability is at most delta.
 
-    The failure probability is nonincreasing in k over any sensible range,
-    so the search doubles k from 3 to bracket the crossing and then
-    bisects; monotonicity is asserted over every probed index rather than
-    assumed globally.  The mixing probability p makes the randomized
-    k / k - 1 choice fail with probability exactly delta.  In the corner
-    where even k = 2 already beats delta, no exact mixture exists and p is
-    clamped to 1 (always use k - 1 = 2; strictly conservative).
+    mu * T' ~ Gamma(k, 1), so by the central limit theorem the minimal k is
+    close to g = ceil((z_{1-delta/2} / eps)^2).  The search probes
+    max(3, g), or k_cap if that is smaller, steps up or down from there,
+    by max(1, start // 64) at first and doubling, until the crossing of
+    delta is bracketed, then bisects: about a dozen probes of
+    :func:`failure_probability` anywhere in the (eps, delta) domain.  The
+    start changes which indices are probed, never the k found.  The
+    failure probability is nonincreasing in k over any sensible range;
+    monotonicity is asserted over every probed index rather than assumed
+    globally.  The mixing probability p makes the randomized k / k - 1
+    choice fail with probability exactly delta.  In the corner where even
+    k = 2 already beats delta, no exact mixture exists and p is clamped to
+    1 (always use k - 1 = 2; strictly conservative).
 
     Raises:
         ValueError: on parameters outside (0, 1).
         CalibrationError: if no k <= k_cap suffices, or monotonicity fails.
+            The upward bracket is not capped; once its lower end reaches
+            k_cap the search stops, and otherwise the error names the
+            minimal k, found above k_cap.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
@@ -239,29 +250,43 @@ def calibrate(epsilon: float, delta: float, k_cap: int = 10_000_000) -> Calibrat
             probes[k] = failure_probability(k, epsilon)
         return probes[k]
 
-    if f(3) <= delta:
-        k_star = 3
-    else:
-        lo, hi = 3, 6
+    # a guess beyond k_cap (infinite once delta / 2 underflows) starts at
+    # k_cap, so no probe runs far past the cap
+    guess = (float(ndtri(0.5 * delta)) / epsilon) ** 2
+    start = max(3, math.ceil(guess)) if guess < k_cap else k_cap
+    step = max(1, start >> 6)
+    lo = hi = start
+    if f(start) > delta:
+        # invariant f(lo) > delta; ends with f(hi) <= delta
         while f(hi) > delta:
-            lo, hi = hi, hi * 2
-            if lo > k_cap:
+            lo = hi
+            if lo >= k_cap:
                 raise CalibrationError(
                     f"no k <= {k_cap} reaches failure probability {delta} "
                     f"at epsilon={epsilon}"
                 )
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if f(mid) <= delta:
-                hi = mid
-            else:
-                lo = mid
-        k_star = hi
-        if k_star > k_cap:
-            raise CalibrationError(
-                f"the minimal k for failure probability {delta} at "
-                f"epsilon={epsilon} is {k_star}, above k_cap={k_cap}"
-            )
+            hi += step
+            step *= 2
+    else:
+        # invariant f(hi) <= delta; ends with f(lo) > delta or hi == 3
+        while hi > 3:
+            lo = max(3, hi - step)
+            if f(lo) > delta:
+                break
+            hi = lo
+            step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(mid) <= delta:
+            hi = mid
+        else:
+            lo = mid
+    k_star = hi
+    if k_star > k_cap:
+        raise CalibrationError(
+            f"the minimal k for failure probability {delta} at "
+            f"epsilon={epsilon} is {k_star}, above k_cap={k_cap}"
+        )
 
     f_k = f(k_star)
     f_km1 = f(k_star - 1)

@@ -72,7 +72,8 @@ def test_calibrate_search_cap_exits_3(runner):
         ["calibrate", "--epsilon", "0.05", "--delta", "1e-10", "--k-cap", "1000"],
     )
     assert result.exit_code == 3
-    # the minimal k is 2561, inside the search's last doubling (1536, 3072]
+    # the minimal k is 2561, bracketed in (2504, 2652] from the normal
+    # guess 2393 and found by bisection, so the cap is checked on it
     args = ["calibrate", "--epsilon", "0.1", "--delta", "1e-6", "--k-cap"]
     assert runner.invoke(main, args + ["2560"]).exit_code == 3
     result = runner.invoke(main, args + ["2561"])

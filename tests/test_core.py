@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from gpas.core import (
     Calibration,
@@ -246,7 +247,8 @@ def test_calibrate_minimality_by_scan():
 def test_calibrate_search_cap():
     with pytest.raises(CalibrationError):
         calibrate(0.05, 1e-10, k_cap=1000)
-    # the minimal k, 2561, lies inside the last doubling bracket (1536, 3072]
+    # the search starts at the normal guess 2393 and brackets the minimal k,
+    # 2561, in (2504, 2652], so the cap is checked on the bisected k
     with pytest.raises(CalibrationError, match="2561, above k_cap=2560"):
         calibrate(0.1, 1e-6, k_cap=2560)
     assert calibrate(0.1, 1e-6, k_cap=2561).k == 2561
@@ -257,14 +259,108 @@ def test_calibrate_detects_non_monotone_failure_probability(monkeypatch):
     # indices must surface as a search failure, not a wrong calibration
     import gpas.core as core_module
 
+    epsilon, delta = 0.1, 0.0018
+    # the search's first probe is the normal guess, 975, below the minimal
+    # k of 999; a dip there that stays above delta keeps the search climbing,
+    # and the larger values it then probes above 975 break monotonicity
+    guess = max(3, math.ceil((ndtri(0.5 * delta) / epsilon) ** 2))
+
     def warped(k, epsilon):
         base = failure_probability(k, epsilon)
-        # k = 384 sits on the doubling trajectory of this search
-        return min(10.0 * base, 1.0) if k == 384 else base
+        return delta + 0.01 * (base - delta) if k == guess else base
 
     monkeypatch.setattr(core_module, "failure_probability", warped)
     with pytest.raises(CalibrationError, match="not monotone"):
-        core_module.calibrate(0.1, 0.0018)
+        core_module.calibrate(epsilon, delta)
+
+
+def _doubling_calibrate(epsilon, delta):
+    # the search calibrate used before it started at the normal guess:
+    # double k from 3 to bracket the crossing, then bisect
+    probes = {}
+
+    def f(k):
+        if k not in probes:
+            probes[k] = failure_probability(k, epsilon)
+        return probes[k]
+
+    if f(3) <= delta:
+        k_star = 3
+    else:
+        lo, hi = 3, 6
+        while f(hi) > delta:
+            lo, hi = hi, hi * 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if f(mid) <= delta:
+                hi = mid
+            else:
+                lo = mid
+        k_star = hi
+    f_k, f_km1 = f(k_star), f(k_star - 1)
+    p = 1.0 if f_km1 <= delta else (delta - f_k) / (f_km1 - f_k)
+    return k_star, p, f_k, f_km1
+
+
+@pytest.mark.slow
+def test_calibrate_matches_doubling_search_in_a_dozen_probes(monkeypatch):
+    # both searches probe the same failure_probability, so the normal-guess
+    # start must change the probe count and nothing else
+    import gpas.core as core_module
+
+    rng = np.random.default_rng(11)
+    inputs = np.column_stack(
+        [
+            np.exp(rng.uniform(math.log(0.005), math.log(0.5), 1500)),
+            np.exp(rng.uniform(math.log(1e-12), math.log(0.2), 1500)),
+        ]
+    ).tolist()
+    inputs += rng.uniform(0.001, 0.99, (200, 2)).tolist()
+    probe_counts = []
+
+    def counted(k, epsilon):
+        probe_counts[-1] += 1
+        return failure_probability(k, epsilon)
+
+    monkeypatch.setattr(core_module, "failure_probability", counted)
+    for epsilon, delta in inputs:
+        probe_counts.append(0)
+        cal = core_module.calibrate(epsilon, delta)
+        assert (cal.k, cal.p, cal.f_k, cal.f_km1) == _doubling_calibrate(epsilon, delta)
+    assert np.median(probe_counts[:1500]) <= 13
+    assert max(probe_counts) <= 18
+
+
+def _log_uniform(low, high):
+    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(math.exp)
+
+
+# the calibrate-ci domain, log-uniform, and the whole domain up to 0.99
+_CAL_EPSILONS = st.one_of(_log_uniform(0.005, 0.5), st.floats(min_value=0.005, max_value=0.99))
+_CAL_DELTAS = st.one_of(_log_uniform(1e-12, 0.2), st.floats(min_value=1e-12, max_value=0.99))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    epsilon=_CAL_EPSILONS,
+    delta=_CAL_DELTAS,
+    k_cap=st.one_of(st.integers(min_value=3, max_value=5000), st.just(10_000_000)),
+)
+def test_calibrate_properties(epsilon, delta, k_cap):
+    try:
+        cal = calibrate(epsilon, delta, k_cap=k_cap)
+    except CalibrationError:
+        assert calibrate(epsilon, delta).k > k_cap
+        return
+    assert 3 <= cal.k <= k_cap
+    if cal.k > 3:
+        assert cal.f_k <= delta < cal.f_km1
+    if cal.f_km1 > delta:
+        mixed = cal.p * cal.f_km1 + (1.0 - cal.p) * cal.f_k
+        assert mixed == pytest.approx(delta, rel=1e-12, abs=0.0)
+    else:
+        # the floor corner: even k - 1 = 2 beats delta
+        assert (cal.k, cal.p) == (3, 1.0)
 
 
 @pytest.mark.parametrize("epsilon,delta", [(0.0, 0.1), (1.0, 0.1), (0.1, 0.0), (0.1, 1.0)])
