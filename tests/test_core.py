@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from gpas.core import (
+    _MONOTONE_SLACK,
     Calibration,
     GpasResult,
     PoissonSource,
@@ -164,6 +165,21 @@ def test_failure_probability_monotone_in_k():
     for epsilon in (0.05, 0.1, 0.3, 0.7):
         values = [failure_probability(k, epsilon) for k in range(3, 400, 7)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _log_uniform(low, high):
+    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(math.exp)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    k=_log_uniform(3, 1.5e6).map(round),
+    epsilon=_log_uniform(0.005, 0.5),
+)
+def test_failure_probability_nonincreasing_in_k(k, epsilon):
+    # calibrate asserts this between the indices it probes, with the same
+    # slack; here it is checked between neighbours over calibrate-ci's domain
+    assert failure_probability(k + 1, epsilon) <= failure_probability(k, epsilon) + _MONOTONE_SLACK
 
 
 def test_failure_probability_against_mpmath():
@@ -329,10 +345,6 @@ def test_calibrate_matches_doubling_search_in_a_dozen_probes(monkeypatch):
         assert (cal.k, cal.p, cal.f_k, cal.f_km1) == _doubling_calibrate(epsilon, delta)
     assert np.median(probe_counts[:1500]) <= 13
     assert max(probe_counts) <= 18
-
-
-def _log_uniform(low, high):
-    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(math.exp)
 
 
 # the calibrate-ci domain, log-uniform, and the whole domain up to 0.99

@@ -193,9 +193,48 @@ def chunked_histogram(graph):
 
 
 def test_histogram_dense_graph_closed_form():
-    # also exercises edge counts beyond 255
+    # 136 edges
     hist = build_histogram(complete_graph(17))
     assert np.array_equal(hist.counts, complete_graph_counts(17))
+
+
+def k23_plus_pendant_counts(neighbours):
+    """Closed form for K23 plus vertex 23 joined to the first `neighbours`
+    vertices: with a ones among the 23, j of them among those neighbours and
+    vertex 23 at spin s, H = C(a,2) + C(23-a,2) + (j if s else neighbours - j)."""
+    expected = np.zeros(253 + neighbours + 1, dtype=np.int64)
+    for ones in range(24):
+        clique = math.comb(ones, 2) + math.comb(23 - ones, 2)
+        for j in range(min(ones, neighbours) + 1):
+            ways = math.comb(neighbours, j) * math.comb(23 - neighbours, ones - j)
+            expected[clique + j] += ways
+            expected[clique + neighbours - j] += ways
+    return expected
+
+
+@pytest.mark.parametrize("neighbours", [2, 3], ids=["255-edges", "256-edges"])
+def test_histogram_either_side_of_255_edges(neighbours):
+    # the per-state disagreement counts are uint8 whatever #E is: a count is
+    # the size of a cut, at most 144 on 24 vertices
+    edges = tuple(itertools.combinations(range(23), 2)) + tuple(
+        (w, 23) for w in range(neighbours)
+    )
+    graph = LatticeGraph(vertex_count=24, edges=edges)
+    assert len(graph.edges) == 253 + neighbours
+    expected = k23_plus_pendant_counts(neighbours)
+    assert int(expected.sum()) == 1 << 24
+    assert np.array_equal(build_histogram(graph).counts, expected)
+
+
+def test_histogram_k24_closed_form():
+    # 276 edges, the most a 24-vertex graph can carry
+    assert np.array_equal(build_histogram(complete_graph(24)).counts, complete_graph_counts(24))
+
+
+@pytest.mark.parametrize("vertex_count", [1, 2, 24])
+def test_histogram_edgeless_graph(vertex_count):
+    hist = build_histogram(LatticeGraph(vertex_count=vertex_count, edges=()))
+    assert hist.counts.tolist() == [1 << vertex_count]
 
 
 # Level counts of the 6x4 grid, pinned from the whole-state enumeration.
@@ -228,8 +267,8 @@ def _reversed(graph):
 )
 def test_histogram_24_vertex_grid_pinned(graph):
     # the same lattice however its vertices are numbered and edges oriented:
-    # relabelling moves edges between the low block, the cross edges and the
-    # high bits
+    # relabelling changes which edges reach the top vertex, which is fixed
+    # at 0, and how far apart each edge's bits are
     assert build_histogram(graph).counts.tolist() == GRID_6X4_COUNTS
 
 
@@ -249,14 +288,14 @@ def test_histogram_24_vertex_trees(edges):
 
 
 def test_histogram_k22_closed_form():
-    # two high bits: a high-high edge and 40 cross edges
+    # every vertex adds a strided pass per lower neighbour, up to 20 of them
     assert np.array_equal(build_histogram(complete_graph(22)).counts, complete_graph_counts(22))
 
 
 def test_histogram_21_vertices_matches_chunked_oracle():
     rng = np.random.default_rng(SEED)
     edges = tuple(pair for pair in itertools.combinations(range(21), 2) if rng.random() < 0.3)
-    # vertex 20 is the one high bit; it must carry cross edges
+    # vertex 20 is the top vertex, fixed at 0; it must carry edges
     assert any(v == 20 for _, v in edges)
     graph = LatticeGraph(vertex_count=21, edges=edges)
     assert np.array_equal(build_histogram(graph).counts, chunked_histogram(graph))
@@ -280,13 +319,15 @@ def _sparse_low_edges(vertex_count, seed):
 def test_histogram_22_vertices_matches_chunked_oracle(extra_edges):
     # the enumeration fixes the top vertex (21) at 0 and doubles; the oracle
     # walks all 2^22 whole states, so a top vertex with no edge, or with only
-    # an edge to the other high vertex, must come out the same
+    # an edge to vertex 20, must come out the same
     graph = LatticeGraph(vertex_count=22, edges=_sparse_low_edges(20, SEED) + extra_edges)
     assert np.array_equal(build_histogram(graph).counts, chunked_histogram(graph))
 
 
 @pytest.mark.parametrize(
-    "graph", [LatticeGraph.grid(6, 4), complete_graph(22)], ids=["6x4", "K22"]
+    "graph",
+    [LatticeGraph.grid(6, 4), complete_graph(22), complete_graph(24)],
+    ids=["6x4", "K22", "K24"],
 )
 def test_histogram_peak_memory_at_most_32_mib(graph):
     tracemalloc.start()
