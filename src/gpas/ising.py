@@ -6,13 +6,13 @@ inverse temperature beta is exp(beta * H(x)) and the partition function is
 Z(beta) = sum_x exp(beta * H(x)).
 
 At 24 vertices or fewer, fully enumerating the level counts
-#{x : H(x) = h} is cheap (about 30 ms for a 24-vertex grid and at most
-16 MiB on any graph; see :func:`build_histogram`) and gives three exact
-tools from one histogram: the partition function at any beta, the exact law
-of H(X) under Gibbs(beta) (sampled by cumulative-weight inversion over at
-most #E + 1 levels), and hence a :class:`~gpas.tpa.NestedGibbsFamily` with
-no sampler bias, which is what makes this backend a clean validation target
-for the ratio scheme.
+#{x : H(x) = h} is cheap (about 20 ms for a 24-vertex grid, in about
+1 MiB of working memory on any graph; see :func:`build_histogram`) and
+gives three exact tools from one histogram: the partition function at any
+beta, the exact law of H(X) under Gibbs(beta) (sampled by cumulative-weight
+inversion over at most #E + 1 levels), and hence a
+:class:`~gpas.tpa.NestedGibbsFamily` with no sampler bias, which is what
+makes this backend a clean validation target for the ratio scheme.
 
 A descent draws H(X) at a fresh beta on every step, so the inversion is the
 hot path.  :func:`sample_hamiltonian` answers most draws from normalized CDF
@@ -54,9 +54,11 @@ __all__ = [
 
 ENUMERATION_LIMIT = 24
 
-# build_histogram bincounts its per-state disagreement counts in chunks of
-# this many states, so the int64 copy bincount makes stays at 8 MiB.
-_BINCOUNT_CHUNK = 1 << 20
+# build_histogram enumerates the low _BLOCK_BITS vertex bits as one block of
+# uint8 disagreement counts (256 KiB) and bincounts each copy of it in chunks
+# of _BINCOUNT_CHUNK states, so the int64 copy bincount makes stays at 512 KiB.
+_BLOCK_BITS = 18
+_BINCOUNT_CHUNK = 1 << 16
 
 # CDF tables for sample_hamiltonian sit at beta = j * step for
 # 0 <= j <= _GRID_LIMIT, where step is the largest power of two at most
@@ -79,6 +81,15 @@ _TABLE_MARGIN = 1e-12
 _GUIDE_SIZE = 256
 
 
+def _check_vertex_count(vertex_count: int) -> None:
+    if vertex_count < 1:
+        raise ValueError(f"vertex_count must be positive, got {vertex_count!r}")
+    if vertex_count > ENUMERATION_LIMIT:
+        raise SizeExceededError(
+            f"{vertex_count} vertices exceed the enumeration bound of {ENUMERATION_LIMIT}"
+        )
+
+
 @dataclass(frozen=True)
 class LatticeGraph:
     """Undirected simple graph, optionally with grid provenance.
@@ -96,13 +107,7 @@ class LatticeGraph:
     height: int | None = None
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 1:
-            raise ValueError(f"vertex_count must be positive, got {self.vertex_count!r}")
-        if self.vertex_count > ENUMERATION_LIMIT:
-            raise SizeExceededError(
-                f"{self.vertex_count} vertices exceed the enumeration bound "
-                f"of {ENUMERATION_LIMIT}"
-            )
+        _check_vertex_count(self.vertex_count)
         seen: set[tuple[int, int]] = set()
         for u, v in self.edges:
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
@@ -185,9 +190,16 @@ class HamiltonianHistogram:
     _guides: list[array | None] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
+        # the sampler's _TABLE_MARGIN assumes |ln count| <= 24 ln 2
+        _check_vertex_count(self.vertex_count)
+        given = np.asarray(self.counts)
+        counts = given.astype(np.int64)
         if counts.ndim != 1 or counts.size < 1:
             raise ValueError("counts must be a one-dimensional nonempty array")
+        if not np.array_equal(counts, given):
+            raise ValueError(f"counts must be integers, got {given.tolist()!r}")
+        if counts.min() < 0:
+            raise ValueError(f"counts must be nonnegative, got {counts.tolist()!r}")
         if int(counts.sum()) != 1 << self.vertex_count:
             raise ValueError(
                 f"counts sum to {int(counts.sum())}, expected 2^{self.vertex_count}"
@@ -214,46 +226,72 @@ def build_histogram(graph: LatticeGraph) -> HamiltonianHistogram:
     States are encoded as the bits of an unsigned integer, one bit per
     vertex.  Flipping every spin changes no edge's agreement, so the top
     vertex is fixed at 0 and the counts of the 2^(V-1) remaining states are
-    doubled.  The disagreement count of every state is built by doubling,
-    one vertex bit b at a time: the states with bit b set are the states
-    before it plus the number of b's lower neighbours, and then, for each
-    lower neighbour w, a strided pass adds 1 where bit w is set among the
-    states with bit b clear and subtracts 1 there among those with bit b
-    set.  The top vertex's edges then add 1 wherever the other endpoint is
-    set, and the counts are bincounted in chunks of 2^20 states.  An edge
-    into vertex b costs one pass over 2^b states, so the 6x4 grid (24
-    vertices, 38 edges) takes about 25-35 ms, against 0.18-0.21 s when the
-    low 20 bits were enumerated once and the rest assignment by assignment.
-    The disagreement counts fit in uint8 on every graph, so working memory
-    is 2^(V-1) bytes plus an 8 MiB bincount chunk: at most 16 MiB.
+    doubled.  The low L = min(18, V - 1) bits form one block: the
+    disagreement count of each of its 2^L states over the edges inside it is
+    built by doubling, one vertex bit b at a time.  The states with bit b
+    set are the states before it plus the number of b's lower neighbours,
+    and then, for each lower neighbour w, a strided pass adds 1 where bit w
+    is set among the states with bit b clear and subtracts 1 there among
+    those with bit b set.  Each assignment of the bits above the block, the
+    top vertex's included, then costs one copy of the block plus a
+    constant: the disagreements among those bits, and for each low vertex
+    w with neighbours above it, the number of them that are set.  One
+    strided pass per such w corrects the states with w set, which disagree
+    with the clear neighbours instead.  Each copy is bincounted in chunks of
+    2^16 states.  An edge inside the block costs one pass over at most 2^L
+    states, and a vertex with neighbours above it one pass per assignment,
+    so the 6x4 grid (24 vertices, 38 edges) takes about 20 ms and K24 (276
+    edges) about 70-90 ms.  The disagreement counts fit in uint8 on every
+    graph, so working memory is the block, its copy and one int64 bincount
+    chunk: about 1 MiB at any size.
     """
-    if graph.vertex_count > ENUMERATION_LIMIT:
-        raise SizeExceededError(
-            f"{graph.vertex_count} vertices exceed the enumeration bound "
-            f"of {ENUMERATION_LIMIT}"
-        )
+    _check_vertex_count(graph.vertex_count)
     edge_count = len(graph.edges)
     top = graph.vertex_count - 1
+    low = min(_BLOCK_BITS, top)
     lower_neighbours: list[list[int]] = [[] for _ in range(graph.vertex_count)]
     for u, v in graph.edges:
         lower_neighbours[max(u, v)].append(min(u, v))
-    # disagreements[x] counts the disagreeing edges of state x, top vertex at
-    # 0.  That is the size of a cut, at most 12 * 12 = 144 on 24 vertices, and
-    # while bit b is added a count exceeds its final value by at most b's
-    # degree, so uint8 holds every value even when #E > 255.
-    disagreements = np.zeros(1 << top, dtype=np.uint8)
-    for b in range(top):
-        clear, set_ = disagreements[: 1 << b], disagreements[1 << b : 2 << b]
+    # block[x] counts the disagreeing edges inside the low bits of state x.
+    # A state's count is the size of a cut, at most 12 * 12 = 144 on 24
+    # vertices, so uint8 holds it even when #E > 255; uint8 arithmetic is
+    # modular, so partial sums that leave [0, 255] on the way come out exact.
+    block = np.zeros(1 << low, dtype=np.uint8)
+    for b in range(low):
+        clear, set_ = block[: 1 << b], block[1 << b : 2 << b]
         np.add(clear, len(lower_neighbours[b]), out=set_)
         for w in lower_neighbours[b]:
             clear.reshape(-1, 2, 1 << w)[:, 1] += 1
             set_.reshape(-1, 2, 1 << w)[:, 1] -= 1
-    for w in lower_neighbours[top]:
-        disagreements.reshape(-1, 2, 1 << w)[:, 1] += 1
+    # The edges above the block, with high bits counted from bit `low`: those
+    # between two high bits, and per low vertex w the mask and number of its
+    # high neighbours.
+    high_edges: list[tuple[int, int]] = []
+    cross: dict[int, tuple[int, int]] = {}
+    for v in range(low, graph.vertex_count):
+        for w in lower_neighbours[v]:
+            if w >= low:
+                high_edges.append((w - low, v - low))
+            else:
+                mask, degree = cross.get(w, (0, 0))
+                cross[w] = (mask | 1 << (v - low), degree + 1)
     counts = np.zeros(edge_count + 1, dtype=np.int64)
-    for start in range(0, disagreements.size, _BINCOUNT_CHUNK):
-        chunk = disagreements[start : start + _BINCOUNT_CHUNK]
-        counts += np.bincount(chunk, minlength=edge_count + 1)
+    states = np.empty_like(block)
+    # the top vertex is bit top - low of `high`, always clear
+    for high in range(1 << (top - low)):
+        constant = sum((high >> a ^ high >> b) & 1 for a, b in high_edges)
+        shifts = []
+        for w, (mask, degree) in cross.items():
+            ones = (high & mask).bit_count()
+            constant += ones
+            shifts.append((w, degree - 2 * ones))
+        np.add(block, constant % 256, out=states)
+        for w, shift in shifts:
+            if shift:
+                states.reshape(-1, 2, 1 << w)[:, 1] += shift % 256
+        for start in range(0, states.size, _BINCOUNT_CHUNK):
+            chunk = states[start : start + _BINCOUNT_CHUNK]
+            counts += np.bincount(chunk, minlength=edge_count + 1)
     # level h holds the states with edge_count - h disagreements
     return HamiltonianHistogram(vertex_count=graph.vertex_count, counts=2 * counts[::-1])
 

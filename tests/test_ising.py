@@ -9,7 +9,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpas import ising
@@ -339,6 +339,53 @@ def test_histogram_peak_memory_at_most_32_mib(graph):
     assert peak <= 32 * 2**20, peak / 2**20
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [
+        LatticeGraph.grid(6, 4),
+        complete_graph(22),
+        complete_graph(24),
+        LatticeGraph(24, _sparse_low_edges(24, SEED)),
+    ],
+    ids=["6x4", "K22", "K24", "random-24"],
+)
+def test_histogram_peak_memory_at_most_2_mib(graph):
+    # one 2^18-state uint8 block, its copy and a 2^16-state int64 bincount
+    # chunk: about 1 MiB whatever the graph
+    tracemalloc.start()
+    try:
+        build_histogram(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak / 2**20
+
+
+@st.composite
+def _graphs_and_block_widths(draw):
+    vertex_count = draw(st.integers(min_value=1, max_value=12))
+    pairs = list(itertools.combinations(range(vertex_count), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = LatticeGraph(vertex_count, tuple(pair for pair, kept in zip(pairs, keep) if kept))
+    return graph, draw(st.integers(min_value=0, max_value=vertex_count - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=_graphs_and_block_widths())
+@example(case=(complete_graph(8), 0))  # every edge between two high bits
+@example(case=(complete_graph(8), 3))  # edges inside, across and above the block
+@example(case=(complete_graph(8), 7))  # no high bit but the top vertex
+@example(case=(LatticeGraph(6, ((0, 5), (2, 5))), 5))  # only the top vertex above
+def test_histogram_any_block_width_matches_brute_force(case):
+    # the block holds the low `width` bits, and each assignment of the bits
+    # between it and the top vertex (fixed at 0) is added on its own
+    graph, width = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ising, "_BLOCK_BITS", width)
+        counts = build_histogram(graph).counts
+    assert np.array_equal(counts, chunked_histogram(graph))
+
+
 def test_histogram_4x4_totals():
     hist = build_histogram(LatticeGraph.grid(4, 4))
     assert int(hist.counts.sum()) == 65536
@@ -350,6 +397,31 @@ def test_histogram_4x4_totals():
 def test_histogram_validates_total():
     with pytest.raises(ValueError):
         HamiltonianHistogram(vertex_count=3, counts=np.array([1, 2, 3]))
+
+
+def test_histogram_rejects_negative_counts():
+    # sums to 2^1, but a negative count has no logarithm
+    with pytest.raises(ValueError, match="nonnegative"):
+        HamiltonianHistogram(vertex_count=1, counts=[-1, 3])
+
+
+def test_histogram_rejects_non_integral_counts():
+    # sums to 2^1 after truncation to [1, 0, 1]
+    with pytest.raises(ValueError, match="integers"):
+        HamiltonianHistogram(vertex_count=1, counts=[1.9, 0.1, 1.0])
+    assert HamiltonianHistogram(vertex_count=1, counts=[1.0, 1.0]).counts.tolist() == [1, 1]
+
+
+def test_histogram_rejects_nonpositive_vertex_count():
+    with pytest.raises(ValueError, match="positive"):
+        HamiltonianHistogram(vertex_count=0, counts=[1])
+
+
+def test_histogram_rejects_vertex_count_above_limit():
+    with pytest.raises(SizeExceededError):
+        HamiltonianHistogram(
+            vertex_count=ENUMERATION_LIMIT + 1, counts=[1 << (ENUMERATION_LIMIT + 1)]
+        )
 
 
 def test_histogram_counts_are_write_locked():
