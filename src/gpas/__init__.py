@@ -25,7 +25,6 @@ from .core import (
 from .errors import (
     BudgetExceededError,
     CalibrationError,
-    DegenerateRatioError,
     GpasError,
     IterationCapError,
     SizeExceededError,
@@ -68,7 +67,6 @@ __all__ = [
     "CalibrationError",
     "ConfidenceInterval",
     "DEFAULT_SOURCE_BUDGET",
-    "DegenerateRatioError",
     "ENUMERATION_LIMIT",
     "GpasError",
     "GpasResult",

@@ -11,8 +11,9 @@ Five subcommands wire the library into reproducible experiments:
 Standard output carries exclusively the machine-readable payload (JSON by
 default, CSV on request); progress and warnings go to standard error.  Every
 command is deterministic under fixed flags and seed.  Exit codes: 0 success,
-1 validation failure, 2 usage or domain error, 3 runtime budget error.  The
-default seed can be overridden with the GPAS_SEED environment variable.
+1 validation failure, 2 usage or domain error, 3 runtime error (a draw
+budget, calibration cap or descent step cap exhausted).  The default seed
+can be overridden with the GPAS_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .core import (
 from .errors import (
     BudgetExceededError,
     CalibrationError,
-    DegenerateRatioError,
+    IterationCapError,
     SizeExceededError,
 )
 from .ising import (
@@ -127,7 +128,18 @@ def _emit(payload: dict, rows: list[dict], output_format: str, output_path) -> N
             handle.write(text)
 
 
-@click.group()
+class _RuntimeErrorExit(click.Group):
+    """Every runtime error, in any command, is one stderr line and exit 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (BudgetExceededError, CalibrationError, IterationCapError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_BUDGET)
+
+
+@click.group(cls=_RuntimeErrorExit)
 def main() -> None:
     """Exact Poisson-mean estimation and normalizing-constant ratios."""
 
@@ -143,11 +155,7 @@ def main() -> None:
 @_output_option
 def cmd_calibrate(epsilon, delta, k_cap, output_format, output_path) -> None:
     """Calibrate the arrival index for an exact failure probability."""
-    try:
-        cal = calibrate(epsilon, delta, k_cap=k_cap)
-    except CalibrationError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
+    cal = calibrate(epsilon, delta, k_cap=k_cap)
     payload = {
         "command": "calibrate",
         "epsilon": epsilon,
@@ -179,11 +187,7 @@ def cmd_estimate(mu, epsilon, delta, seed, max_calls, output_format, output_path
     """Run one calibrated estimate against a synthetic Poisson source."""
     rng = RngStream(seed)
     source = SyntheticPoissonSource(mu, rng, max_calls=max_calls)
-    try:
-        result = exact_gpas(source, epsilon, delta, rng)
-    except BudgetExceededError as exc:
-        click.echo(f"error: {exc} (is the mean 0?)", err=True)
-        sys.exit(EXIT_BUDGET)
+    result = exact_gpas(source, epsilon, delta, rng)
     ci = confidence_interval(result, 1.0 - delta)
     payload = {
         "command": "estimate",
@@ -235,12 +239,12 @@ def cmd_validate(replicates, seed, output_format, output_path) -> None:
 
 
 def _single_run_fields(report, z_inner: float, delta: float) -> dict:
-    if report is None:  # degenerate: phase 1 saw only zero counts
+    if report is None:  # degenerate: no edges, so Z(beta) is constant
         return {
             "degenerate": True,
             "diagnostic": (
-                "phase 1 exhausted its budget: the log ratio is "
-                "indistinguishable from 0, so the ratio is reported as 1"
+                "the graph has no edges: Z(beta) is constant, so the ratio "
+                "is exactly 1 and no descent was run"
             ),
             "ratio_estimate": 1.0,
             "z_outer_estimate": z_inner,
@@ -248,7 +252,7 @@ def _single_run_fields(report, z_inner: float, delta: float) -> dict:
             "r_hat2": None,
             "epsilon2": None,
             "ci": {"lower": 1.0, "upper": 1.0, "coverage": 1.0 - delta},
-            "total_tpa_calls": None,
+            "total_tpa_calls": 0,
         }
     return {
         "degenerate": False,
@@ -322,17 +326,10 @@ def cmd_tpa_ising(
     )
     runs: list[dict] = []
     for i in range(replicates):
-        rng = RngStream(seed, i)
-        try:
-            report = two_phase_scheme(
-                family, epsilon, delta, rng, max_calls=max_tpa_calls
-            )
-        except DegenerateRatioError:
-            run = _single_run_fields(None, z_inner, delta)
-            run["total_tpa_calls"] = max_tpa_calls
-        else:
-            run = _single_run_fields(report, z_inner, delta)
-        runs.append(run)
+        report = None if hist.edge_count == 0 else two_phase_scheme(
+            family, epsilon, delta, RngStream(seed, i), max_calls=max_tpa_calls
+        )
+        runs.append(_single_run_fields(report, z_inner, delta))
 
     payload = {
         "command": "tpa-ising",
@@ -390,11 +387,7 @@ def cmd_bench(epsilon, delta, mu, replicates, seed, output_format, output_path) 
         f"(epsilon, delta)=({epsilon}, {delta}), seed {seed}",
         err=True,
     )
-    try:
-        _, totals = replicate_two_phase(mu, epsilon, delta, replicates, seed)
-    except BudgetExceededError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
+    _, totals = replicate_two_phase(mu, epsilon, delta, replicates, seed)
     single = replicates == 1
     payload = {
         "command": "bench",

@@ -86,7 +86,8 @@ class PoissonSource(ABC):
         """Draw the next count; increments ``call_count`` by exactly one."""
         if self.call_count >= self.max_calls:
             raise BudgetExceededError(
-                f"count source exhausted its budget of {self.max_calls} draws"
+                f"count source exhausted its budget of {self.max_calls} draws "
+                "(is the mean 0, or the budget too small?)"
             )
         value = self._draw()
         self.call_count += 1

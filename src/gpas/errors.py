@@ -32,13 +32,5 @@ class IterationCapError(GpasError):
     """A nested-family descent exceeded its step cap."""
 
 
-class DegenerateRatioError(GpasError):
-    """Phase 1 of the two-phase scheme exhausted its budget.
-
-    Signals that the log ratio being estimated is indistinguishable from 0,
-    i.e. the ratio itself is approximately 1.
-    """
-
-
 class SizeExceededError(GpasError):
     """A graph is too large for exact enumeration."""

@@ -151,12 +151,13 @@ class LatticeGraph:
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
                     continue
-                parts = stripped.split()
-                if len(parts) != 2:
+                try:
+                    u, v = map(int, stripped.split())
+                except ValueError:  # wrong arity or a non-integer token
                     raise ValueError(
-                        f"{path}:{line_no}: expected 'u v', got {stripped!r}"
-                    )
-                edges.append((int(parts[0]), int(parts[1])))
+                        f"{path}:{line_no}: expected 'u v' integers, got {stripped!r}"
+                    ) from None
+                edges.append((u, v))
         if vertex_count is None:
             if not edges:
                 raise ValueError(f"{path}: empty edge list needs an explicit vertex_count")

@@ -32,7 +32,7 @@ from .core import (
     confidence_interval,
     exact_gpas,
 )
-from .errors import BudgetExceededError, DegenerateRatioError, IterationCapError
+from .errors import IterationCapError
 from .numerics import RngStream
 
 __all__ = [
@@ -200,22 +200,16 @@ def two_phase_from_source(
     at least 1 - delta.
 
     Raises:
-        DegenerateRatioError: if phase 1 exhausts its budget, which signals
-            r ~ 0 (ratio ~ 1).  A phase-2 budget failure propagates as
-            BudgetExceededError.
+        BudgetExceededError: if either phase exhausts its draw budget.
+        CalibrationError: if no index up to the cap reaches a phase's
+            precision.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
     source1 = make_source()
-    try:
-        first = exact_gpas(source1, epsilon, delta / 2.0, rng)
-    except BudgetExceededError as exc:
-        raise DegenerateRatioError(
-            "phase 1 exhausted its draw budget; the log ratio is "
-            "indistinguishable from 0 (ratio ~ 1)"
-        ) from exc
+    first = exact_gpas(source1, epsilon, delta / 2.0, rng)
     eps2 = phase2_epsilon(epsilon, first.mu_hat)
     source2 = make_source()
     second = exact_gpas(source2, eps2, delta / 2.0, rng)

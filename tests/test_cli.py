@@ -223,7 +223,50 @@ def test_tpa_ising_degenerate_single_vertex(runner, schema):
     assert payload["ratio_estimate"] == 1.0
     assert payload["ci"]["lower"] == payload["ci"]["upper"] == 1.0
     assert payload["oracle"]["log_ratio"] == 0.0
-    assert "indistinguishable from 0" in payload["diagnostic"]
+    assert payload["total_tpa_calls"] == 0
+    assert "no edges" in payload["diagnostic"]
+
+
+def test_tpa_ising_edgeless_graph_runs_no_descent(runner, schema, monkeypatch):
+    import gpas.cli as cli_module
+
+    def no_descent(*args, **kwargs):
+        raise AssertionError("an edgeless graph ran the two-phase scheme")
+
+    monkeypatch.setattr(cli_module, "two_phase_scheme", no_descent)
+    payload = invoke_json(
+        runner, schema,
+        ["tpa-ising", "--width", "1", "--height", "1", "--epsilon", "0.2",
+         "--delta", "0.01", "--replicates", "3"],
+    )
+    assert payload["degenerate"]
+    assert payload["z_outer_estimate"] == payload["oracle"]["z_inner"]
+    assert [run["total_tpa_calls"] for run in payload["runs"]] == [0, 0, 0]
+    assert payload["aggregate"]["mean_total_tpa_calls"] == 0.0
+    assert payload["aggregate"]["within_epsilon_of_oracle"] == 3
+
+
+def test_schema_ties_total_calls_to_degeneracy(runner, schema):
+    payload = invoke_json(
+        runner, schema,
+        ["tpa-ising", "--width", "2", "--height", "2", "--epsilon", "0.3",
+         "--delta", "0.1", "--seed", "1", "--replicates", "2"],
+    )
+    # a run that is not degenerate consumed at least one descent
+    for broken in (
+        {**payload, "total_tpa_calls": 0},
+        {**payload, "runs": [{**payload["runs"][0], "total_tpa_calls": 0}]},
+    ):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(broken, schema)
+    # and a degenerate one consumed none
+    degenerate = invoke_json(
+        runner, schema,
+        ["tpa-ising", "--width", "1", "--height", "1", "--epsilon", "0.3",
+         "--delta", "0.1"],
+    )
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({**degenerate, "total_tpa_calls": 1}, schema)
 
 
 def test_tpa_ising_size_bound_exits_2(runner):
@@ -331,6 +374,39 @@ def test_bench_rejects_zero_mu(runner):
         main, ["bench", "--epsilon", "0.2", "--delta", "0.2", "--mu", "0"]
     )
     assert result.exit_code == 2
+
+
+_TIGHT = ["--epsilon", "0.0001", "--delta", "0.01"]
+_GRID_2X2 = ["tpa-ising", "--width", "2", "--height", "2", "--epsilon", "0.2",
+             "--delta", "0.01"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["estimate", "--mu", "2", *_TIGHT], id="estimate-k-cap"),
+        pytest.param(["bench", "--mu", "2", "--replicates", "3", *_TIGHT],
+                     id="bench-k-cap"),
+        pytest.param([*_GRID_2X2, "--max-tpa-calls", "20"], id="phase1-budget-20"),
+        pytest.param([*_GRID_2X2, "--max-tpa-calls", "60"], id="phase1-budget-60"),
+        pytest.param([*_GRID_2X2, "--max-tpa-calls", "200"], id="phase2-budget"),
+        # K24's log-ratio, 260, needs a phase-2 k above the 1e7 cap
+        pytest.param(["tpa-ising", "--edge-file", "K24", "--epsilon", "0.2",
+                      "--delta", "0.01"], id="phase2-k-cap"),
+    ],
+)
+def test_runtime_error_exits_3_with_one_error_line(runner, tmp_path, args):
+    k24 = tmp_path / "k24.txt"
+    k24.write_text(
+        "".join(f"{u} {v}\n" for u in range(24) for v in range(u + 1, 24)),
+        encoding="utf-8",
+    )
+    args = [str(k24) if arg == "K24" else arg for arg in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
 
 
 @pytest.mark.parametrize("command", ["estimate", "bench"])

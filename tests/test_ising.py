@@ -125,6 +125,13 @@ def test_edge_file_malformed_line(tmp_path):
         LatticeGraph.from_edge_file(path)
 
 
+def test_edge_file_non_integer_token_names_its_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# header\n0 1\n1 x\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.txt:3: .*'1 x'"):
+        LatticeGraph.from_edge_file(path)
+
+
 def test_edge_file_empty_needs_vertex_count(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing\n", encoding="utf-8")

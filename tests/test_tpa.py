@@ -8,7 +8,7 @@ import pytest
 
 from gpas import tpa
 from gpas.core import SyntheticPoissonSource
-from gpas.errors import BudgetExceededError, DegenerateRatioError, IterationCapError
+from gpas.errors import BudgetExceededError, IterationCapError
 from gpas.ising import IsingGibbsFamily, LatticeGraph, build_histogram
 from gpas.numerics import RngStream
 from gpas.tpa import (
@@ -196,19 +196,24 @@ def test_two_phase_report_invariants():
     assert report.ci.lower < report.ratio_estimate < report.ci.upper
 
 
-def test_two_phase_degenerate_ratio_error():
+def test_two_phase_phase1_budget_error():
+    # a zero mean spends phase 1's budget: a plain budget error, not a
+    # verdict that the ratio is 1
     rng = RngStream(SEED, 4)
+    sources = []
 
     def make_source():
-        return SyntheticPoissonSource(0.0, rng, max_calls=100)
+        sources.append(SyntheticPoissonSource(0.0, rng, max_calls=100))
+        return sources[-1]
 
-    with pytest.raises(DegenerateRatioError):
+    with pytest.raises(BudgetExceededError, match="budget of 100 draws"):
         two_phase_from_source(make_source, 0.2, 0.1, rng)
+    assert len(sources) == 1
 
 
 def test_two_phase_phase2_budget_propagates():
     # a budget big enough for phase 1 but not phase 2 surfaces as the
-    # plain budget error, not the degenerate diagnosis
+    # same budget error
     rng = RngStream(SEED, 5)
 
     def make_source():
