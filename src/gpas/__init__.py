@@ -45,7 +45,6 @@ from .numerics import (
     reg_lower_gamma,
     sample_beta,
     sample_bernoulli,
-    sample_gamma,
     sample_poisson,
 )
 from .tpa import (
@@ -95,7 +94,6 @@ __all__ = [
     "relative_error_transfer",
     "sample_beta",
     "sample_bernoulli",
-    "sample_gamma",
     "sample_hamiltonian",
     "sample_poisson",
     "tpa_run",

@@ -49,7 +49,7 @@ from .ising import (
 )
 from .numerics import RngStream
 from .tpa import two_phase_scheme
-from .validation import replicate_two_phase, run_all
+from .validation import replicate, replicate_two_phase, run_all
 
 SEED_ENV_VAR = "GPAS_SEED"
 
@@ -324,12 +324,14 @@ def cmd_tpa_ising(
         f"vertices, seed {seed}",
         err=True,
     )
-    runs: list[dict] = []
-    for i in range(replicates):
+
+    def run(rng: RngStream) -> dict:
         report = None if hist.edge_count == 0 else two_phase_scheme(
-            family, epsilon, delta, RngStream(seed, i), max_calls=max_tpa_calls
+            family, epsilon, delta, rng, max_calls=max_tpa_calls
         )
-        runs.append(_single_run_fields(report, z_inner, delta))
+        return _single_run_fields(report, z_inner, delta)
+
+    runs = list(replicate(run, replicates, seed))
 
     payload = {
         "command": "tpa-ising",

@@ -31,6 +31,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import ndtri
 
 from .errors import BudgetExceededError, CalibrationError
@@ -173,11 +174,12 @@ def gpas(source: PoissonSource, k: int, rng: RngStream) -> GpasResult:
     1 + k / mu.
 
     Raises:
-        ValueError: if ``k < 2`` (the estimate's mean exists only for k > 1).
+        ValueError: if ``k`` is not an integer >= 2 (the estimate's mean
+            exists only for k > 1).
         BudgetExceededError: if the source budget runs out first.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k!r}")
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise ValueError(f"k must be an integer >= 2, got {k!r}")
     arrivals = 0
     intervals = 0
     t_prime = -1.0

@@ -82,8 +82,8 @@ _GUIDE_SIZE = 256
 
 
 def _check_vertex_count(vertex_count: int) -> None:
-    if vertex_count < 1:
-        raise ValueError(f"vertex_count must be positive, got {vertex_count!r}")
+    if not isinstance(vertex_count, (int, np.integer)) or vertex_count < 1:
+        raise ValueError(f"vertex_count must be a positive integer, got {vertex_count!r}")
     if vertex_count > ENUMERATION_LIMIT:
         raise SizeExceededError(
             f"{vertex_count} vertices exceed the enumeration bound of {ENUMERATION_LIMIT}"
@@ -110,6 +110,8 @@ class LatticeGraph:
         _check_vertex_count(self.vertex_count)
         seen: set[tuple[int, int]] = set()
         for u, v in self.edges:
+            if not all(isinstance(w, (int, np.integer)) for w in (u, v)):
+                raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer vertex")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u}, {v}) has an out-of-range vertex")
             if u == v:
@@ -140,10 +142,10 @@ class LatticeGraph:
         )
 
     @classmethod
-    def from_edge_file(cls, path, vertex_count: int | None = None) -> "LatticeGraph":
+    def from_edge_file(cls, path) -> "LatticeGraph":
         """Read one "u v" pair per line (0-indexed; blank and # lines skipped).
 
-        ``vertex_count`` defaults to one past the largest vertex mentioned.
+        The vertex count is one past the largest vertex mentioned.
         """
         edges: list[tuple[int, int]] = []
         with open(path, encoding="utf-8") as handle:
@@ -158,11 +160,9 @@ class LatticeGraph:
                         f"{path}:{line_no}: expected 'u v' integers, got {stripped!r}"
                     ) from None
                 edges.append((u, v))
-        if vertex_count is None:
-            if not edges:
-                raise ValueError(f"{path}: empty edge list needs an explicit vertex_count")
-            vertex_count = 1 + max(max(u, v) for u, v in edges)
-        return cls(vertex_count=vertex_count, edges=tuple(edges))
+        if not edges:
+            raise ValueError(f"{path}: the edge list is empty")
+        return cls(vertex_count=1 + max(max(u, v) for u, v in edges), edges=tuple(edges))
 
 
 @dataclass(frozen=True, eq=False)

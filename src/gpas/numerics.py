@@ -4,7 +4,7 @@ Everything stochastic in this package is driven by :class:`RngStream`, a
 seedable stream addressed by a ``(seed, stream_id)`` pair.  Uniforms
 (:meth:`RngStream.next_uniform`) and Bernoulli draws come from the stream's
 buffered uniforms, Poisson counts from its buffered counts of one mean, and
-Gamma and Beta draws straight from its underlying numpy generator.  The same
+Beta draws straight from its underlying numpy generator.  The same
 pair and the same sequence of calls reproduce the same draws within one numpy
 version, and independent replicates run on distinct stream ids.
 
@@ -28,7 +28,6 @@ __all__ = [
     "gamma_quantile",
     "sample_bernoulli",
     "sample_poisson",
-    "sample_gamma",
     "sample_beta",
 ]
 
@@ -232,8 +231,8 @@ class RngStream:
     another mean discards the buffered counts and restarts that buffer at its
     smallest block.  Every buffered value is an independent draw, so
     what one call leaves unused is as good as a fresh draw for the next.
-    The Gamma and Beta samplers of this module draw from the same generator,
-    so a refill and a sampler call each advance it.  The same pair and the
+    The Beta sampler of this module draws from the same generator, so a
+    refill and a sampler call each advance it.  The same pair and the
     same sequence of calls therefore reproduce the same draws within one
     numpy version.
 
@@ -314,15 +313,6 @@ def sample_poisson(rng: RngStream, mu: float) -> int:
     if mu == 0.0:
         return 0
     return rng._next_poisson(mu)
-
-
-def sample_gamma(rng: RngStream, shape: float, rate: float) -> float:
-    """Gamma(shape, rate) draw, by the stream's generator."""
-    if not (math.isfinite(shape) and shape > 0.0):
-        raise ValueError(f"shape must be a positive finite real, got {shape!r}")
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ValueError(f"rate must be a positive finite real, got {rate!r}")
-    return float(rng._gen.gamma(shape, 1.0 / rate))
 
 
 def sample_beta(rng: RngStream, a: int, b: int) -> float:

@@ -8,12 +8,18 @@ probability, interval coverage, Poisson-ness of the nested-family descent,
 the log-to-ratio precision transfer, and the end-to-end two-phase guarantee.
 The checks are the single definition of these properties: ``gpas validate``
 runs them through :func:`run_all`, and the unit tests and acceptance criteria
-call them at their own n, seed and parameters and assert that they pass.
+call them at their own n and seed and assert that they pass.  A check's
+model parameters are constants in its body; only
+:func:`check_distribution_law` also takes ``mu`` and ``k``, which the
+full-grid test of the arrival law sets.
 
-Also home to the replicate harnesses the checks run on (one independent
-stream id per replicate, so they parallelize trivially) and to the
-fixed-sample Chernoff-calibrated baseline used as the comparison arm for
-call-count benchmarks.
+Every replicate loop, here and in the CLI, runs through one engine,
+:func:`replicate`: replicate i draws from ``RngStream(seed, stream_offset +
+i)`` and no other stream, so replicates are independent and parallelize
+trivially, and the stream addressing lives in one place.  Numeric callers
+collect its results with ``np.fromiter``, so no loop keeps one Python object
+per replicate.  The module also holds the fixed-sample Chernoff-calibrated
+baseline used as the comparison arm for call-count benchmarks.
 
 ``scipy.stats`` is imported only inside the two checks that use it
 (:func:`poisson_chi_square_pvalue` and :func:`check_scale_free_error`), so
@@ -24,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from scipy.special import kolmogi
@@ -38,7 +45,6 @@ from .core import (
 from .ising import IsingGibbsFamily, LatticeGraph, build_histogram, log_partition_function
 from .numerics import RngStream, reg_lower_gamma, sample_poisson
 from .tpa import (
-    NestedGibbsFamily,
     phase2_epsilon,
     relative_error_transfer,
     tpa_run,
@@ -51,10 +57,9 @@ __all__ = [
     "ks_critical_value",
     "ks_statistic",
     "poisson_chi_square_pvalue",
+    "replicate",
     "replicate_gpas",
-    "replicate_exact_gpas",
     "replicate_two_phase",
-    "replicate_tpa_counts",
     "chernoff_tail_bound",
     "chernoff_total_mean",
     "chernoff_fixed_sample_size",
@@ -68,6 +73,12 @@ CHI_SQUARE_SIGNIFICANCE = 0.001
 # Stochastic checks below this many replicates have no statistical power and
 # are reported as skipped rather than pass/fail.
 MIN_REPLICATES = 100
+
+T = TypeVar("T")
+
+# one record per replicate: the harnesses return the fields as array views
+_GPAS_RUN = np.dtype([("t_prime", np.float64), ("draws", np.int64)])
+_TWO_PHASE_RUN = np.dtype([("ratio", np.float64), ("calls", np.int64)])
 
 
 @dataclass(frozen=True)
@@ -147,35 +158,31 @@ def poisson_chi_square_pvalue(counts: Sequence[int], mean: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Replicate harnesses (one stream id per replicate)
+# Replicate engine and harnesses (one stream id per replicate)
 # ---------------------------------------------------------------------------
+
+
+def replicate(
+    run: Callable[[RngStream], T], replicates: int, seed: int, stream_offset: int = 0
+) -> Iterator[T]:
+    """Yield ``run(RngStream(seed, stream_offset + i))`` for each replicate i."""
+    for i in range(replicates):
+        yield run(RngStream(seed, stream_offset + i))
 
 
 def replicate_gpas(
     mu: float, k: int, replicates: int, seed: int, stream_offset: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the estimator ``replicates`` times; returns (t_primes, draws)."""
-    t_primes = np.empty(replicates)
-    draws = np.empty(replicates, dtype=np.int64)
-    for i in range(replicates):
-        rng = RngStream(seed, stream_offset + i)
-        source = SyntheticPoissonSource(mu, rng)
-        result = gpas(source, k, rng)
-        t_primes[i] = result.t_prime
-        draws[i] = result.draws_used
-    return t_primes, draws
 
+    def run(rng: RngStream) -> tuple[float, int]:
+        result = gpas(SyntheticPoissonSource(mu, rng), k, rng)
+        return result.t_prime, result.draws_used
 
-def replicate_exact_gpas(
-    mu: float, epsilon: float, delta: float, replicates: int, seed: int
-) -> np.ndarray:
-    """Calibrated estimator runs; returns the mu_hat values."""
-    mu_hats = np.empty(replicates)
-    for i in range(replicates):
-        rng = RngStream(seed, i)
-        source = SyntheticPoissonSource(mu, rng)
-        mu_hats[i] = exact_gpas(source, epsilon, delta, rng).mu_hat
-    return mu_hats
+    runs = np.fromiter(
+        replicate(run, replicates, seed, stream_offset), dtype=_GPAS_RUN, count=replicates
+    )
+    return runs["t_prime"], runs["draws"]
 
 
 def replicate_two_phase(
@@ -189,26 +196,17 @@ def replicate_two_phase(
 
     Returns (ratio_estimates, total_calls).
     """
-    ratios = np.empty(replicates)
-    totals = np.empty(replicates, dtype=np.int64)
-    for i in range(replicates):
-        rng = RngStream(seed, i)
+
+    def run(rng: RngStream) -> tuple[float, int]:
         report = two_phase_from_source(
             lambda: SyntheticPoissonSource(mu, rng), epsilon, delta, rng
         )
-        ratios[i] = report.ratio_estimate
-        totals[i] = report.total_tpa_calls
-    return ratios, totals
+        return report.ratio_estimate, report.total_tpa_calls
 
-
-def replicate_tpa_counts(
-    family: NestedGibbsFamily, replicates: int, seed: int
-) -> np.ndarray:
-    """Independent descent counts, one stream id per replicate."""
-    counts = np.empty(replicates, dtype=np.int64)
-    for i in range(replicates):
-        counts[i] = tpa_run(family, RngStream(seed, i))
-    return counts
+    runs = np.fromiter(
+        replicate(run, replicates, seed), dtype=_TWO_PHASE_RUN, count=replicates
+    )
+    return runs["ratio"], runs["calls"]
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +264,18 @@ def chernoff_two_phase_calls(
     n2 for the transferred precision sized at that estimate.
     """
     n1 = chernoff_fixed_sample_size(mu, epsilon, delta / 2.0)
-    totals = np.empty(replicates, dtype=np.int64)
-    for i in range(replicates):
-        rng = RngStream(seed, i)
+
+    def run(rng: RngStream) -> int:
         # the sum of n1 iid Poisson(mu) pilot counts is exactly Poisson(n1 mu)
         r_hat1 = sample_poisson(rng, mu * n1) / n1
         if r_hat1 <= 0.0:
             r_hat1 = 1.0 / n1  # all-zero pilot: size phase 2 at the resolution floor
         eps2 = phase2_epsilon(epsilon, r_hat1)
-        totals[i] = n1 + chernoff_fixed_sample_size(r_hat1, eps2, delta / 2.0)
-    return totals
+        return n1 + chernoff_fixed_sample_size(r_hat1, eps2, delta / 2.0)
+
+    return np.fromiter(
+        replicate(run, replicates, seed), dtype=np.int64, count=replicates
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +314,9 @@ def check_distribution_law(
     )
 
 
-def check_scale_free_error(
-    replicates: int, seed: int, mu_low: float = 0.5, mu_high: float = 10.0, k: int = 100
-) -> PropertyResult:
+def check_scale_free_error(replicates: int, seed: int) -> PropertyResult:
     """Relative-error samples at two very different means are KS-indistinguishable."""
+    mu_low, mu_high, k = 0.5, 10.0, 100
     name = f"scale_free_relative_error(mu={mu_low} vs {mu_high}, k={k})"
     if replicates < MIN_REPLICATES:
         return _underpowered(name, MIN_REPLICATES, replicates)
@@ -340,10 +339,9 @@ def check_scale_free_error(
     )
 
 
-def check_unbiasedness(
-    replicates: int, seed: int, mu: float = 3.0, k: int = 50
-) -> PropertyResult:
+def check_unbiasedness(replicates: int, seed: int) -> PropertyResult:
     """Empirical mean of mu_hat sits in the 3-sigma CLT band around mu."""
+    mu, k = 3.0, 50
     name = f"unbiasedness(mu={mu}, k={k})"
     if replicates < MIN_REPLICATES:
         return _underpowered(name, MIN_REPLICATES, replicates)
@@ -361,10 +359,9 @@ def check_unbiasedness(
     )
 
 
-def check_running_time(
-    replicates: int, seed: int, mu: float = 2.0, k: int = 50
-) -> PropertyResult:
+def check_running_time(replicates: int, seed: int) -> PropertyResult:
     """Mean draws lie in [k/mu - 3se, 1 + k/mu + 3se]."""
+    mu, k = 2.0, 50
     name = f"running_time_bound(mu={mu}, k={k})"
     if replicates < MIN_REPLICATES:
         return _underpowered(name, MIN_REPLICATES, replicates)
@@ -383,19 +380,20 @@ def check_running_time(
     )
 
 
-def check_exactness(
-    replicates: int,
-    seed: int,
-    mu: float = 5.0,
-    epsilon: float = 0.3,
-    delta: float = 0.05,
-) -> PropertyResult:
+def check_exactness(replicates: int, seed: int) -> PropertyResult:
     """Calibrated failure frequency is delta to within 3 binomial sigma."""
+    mu, epsilon, delta = 5.0, 0.3, 0.05
     name = f"exact_failure_probability(eps={epsilon}, delta={delta}, mu={mu})"
     needed = max(MIN_REPLICATES, math.ceil(30.0 / delta))
     if replicates < needed:
         return _underpowered(name, needed, replicates)
-    mu_hats = replicate_exact_gpas(mu, epsilon, delta, replicates, seed)
+
+    def run(rng: RngStream) -> float:
+        return exact_gpas(SyntheticPoissonSource(mu, rng), epsilon, delta, rng).mu_hat
+
+    mu_hats = np.fromiter(
+        replicate(run, replicates, seed), dtype=np.float64, count=replicates
+    )
     failures = np.abs(mu_hats / mu - 1.0) > epsilon
     frequency = float(failures.mean())
     band = 3.0 * math.sqrt(delta * (1.0 - delta) / replicates)
@@ -409,25 +407,19 @@ def check_exactness(
     )
 
 
-def check_coverage(
-    replicates: int,
-    seed: int,
-    mu: float = 2.0,
-    k: int = 200,
-    coverage: float = 0.9,
-) -> PropertyResult:
+def check_coverage(replicates: int, seed: int) -> PropertyResult:
     """Exact intervals cover mu with the advertised frequency."""
+    mu, k, coverage = 2.0, 200, 0.9
     name = f"interval_coverage(mu={mu}, k={k}, coverage={coverage})"
     needed = max(MIN_REPLICATES, math.ceil(30.0 / (1.0 - coverage)))
     if replicates < needed:
         return _underpowered(name, needed, replicates)
-    hits = 0
-    for i in range(replicates):
-        rng = RngStream(seed, i)
-        source = SyntheticPoissonSource(mu, rng)
-        ci = confidence_interval(gpas(source, k, rng), coverage)
-        hits += ci.lower <= mu <= ci.upper
-    frequency = hits / replicates
+
+    def covers(rng: RngStream) -> bool:
+        ci = confidence_interval(gpas(SyntheticPoissonSource(mu, rng), k, rng), coverage)
+        return ci.lower <= mu <= ci.upper
+
+    frequency = sum(replicate(covers, replicates, seed)) / replicates
     band = 3.0 * math.sqrt(coverage * (1.0 - coverage) / replicates)
     return PropertyResult(
         name=name,
@@ -439,10 +431,9 @@ def check_coverage(
     )
 
 
-def check_tpa_poissonness(
-    replicates: int, seed: int, width: int = 2, height: int = 2
-) -> PropertyResult:
+def check_tpa_poissonness(replicates: int, seed: int) -> PropertyResult:
     """Descent counts on a small grid fit Poisson(r) with unit dispersion."""
+    width, height = 2, 2
     name = f"tpa_poisson_counts({width}x{height})"
     if replicates < MIN_REPLICATES:
         return _underpowered(name, MIN_REPLICATES, replicates)
@@ -451,7 +442,9 @@ def check_tpa_poissonness(
     r = log_partition_function(hist, family.beta_outer) - log_partition_function(
         hist, family.beta_inner
     )
-    counts = replicate_tpa_counts(family, replicates, seed)
+    counts = np.fromiter(
+        replicate(partial(tpa_run, family), replicates, seed), dtype=np.int64, count=replicates
+    )
     pvalue = poisson_chi_square_pvalue(counts, r)
     dispersion = float(counts.var(ddof=1) / counts.mean())
     # the [0.95, 1.05] window is calibrated for 1e5 descents; at smaller n
@@ -492,14 +485,9 @@ def check_transfer_bounds() -> PropertyResult:
     )
 
 
-def check_two_phase_guarantee(
-    replicates: int,
-    seed: int,
-    mu: float = 15.4,
-    epsilon: float = 0.2,
-    delta: float = 0.1,
-) -> PropertyResult:
+def check_two_phase_guarantee(replicates: int, seed: int) -> PropertyResult:
     """End-to-end ratio failure frequency at most delta (one-sided, 3 sigma)."""
+    mu, epsilon, delta = 15.4, 0.2, 0.1
     name = f"two_phase_guarantee(eps={epsilon}, delta={delta}, mu={mu})"
     needed = max(MIN_REPLICATES, math.ceil(30.0 / delta))
     if replicates < needed:

@@ -160,8 +160,8 @@ def test_criterion_9_end_to_end_ising_experiment():
     # eps2 = ln(1.2) * 0.8 / r_hat1 and delta/2 per phase, the calibrated
     # phase-2 index is ~88000, so the scheme's true mean total is ~5750.
     # The criterion is asserted as stated and its call-count clause is
-    # expected to fail; the analysis lives in the repo-external decisions
-    # ledger.
+    # expected to fail: see the "Known standing failure" note in ROADMAP.md,
+    # and its item 4 for the exact cost oracle that will check the ~5750.
     runner = CliRunner()
     result = runner.invoke(
         cli_main,
@@ -188,7 +188,7 @@ def test_criterion_9_end_to_end_ising_experiment():
     assert ln_ratio_ok
     assert calls_ok, (
         f"mean total calls {mean_calls:.0f} outside 5200 +- 210; the scheme "
-        "as specified converges to ~5750 (see decisions ledger)"
+        "as specified converges to ~5750 (see ROADMAP.md)"
     )
 
 

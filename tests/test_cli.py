@@ -269,6 +269,18 @@ def test_schema_ties_total_calls_to_degeneracy(runner, schema):
         jsonschema.validate({**degenerate, "total_tpa_calls": 1}, schema)
 
 
+def test_tpa_ising_golden_fixture(runner, schema):
+    # pins the replicate loop's stream ids: replicate i draws from (seed, i)
+    result = runner.invoke(
+        main,
+        ["tpa-ising", "--width", "3", "--height", "3", "--epsilon", "0.2",
+         "--delta", "0.1", "--replicates", "3", "--seed", "0"],
+    )
+    assert result.exit_code == 0
+    assert result.stdout == (DATA_DIR / "tpa_ising_golden.json").read_text()
+    jsonschema.validate(json.loads(result.stdout), schema)
+
+
 def test_tpa_ising_size_bound_exits_2(runner):
     result = runner.invoke(
         main,
@@ -367,6 +379,17 @@ def test_bench_csv_row(runner):
     assert len(rows) == 1
     assert float(rows[0]["mean_total_calls"]) > 0
     assert rows[0]["command"] == "bench"
+
+
+def test_bench_golden_fixture(runner, schema):
+    result = runner.invoke(
+        main,
+        ["bench", "--epsilon", "0.2", "--delta", "0.01", "--mu", "15.4",
+         "--replicates", "50", "--seed", "0"],
+    )
+    assert result.exit_code == 0
+    assert result.stdout == (DATA_DIR / "bench_golden.json").read_text()
+    jsonschema.validate(json.loads(result.stdout), schema)
 
 
 def test_bench_rejects_zero_mu(runner):

@@ -92,6 +92,20 @@ def test_gpas_rejects_k_below_two():
         gpas(ScriptedSource([5]), 1, RngStream(SEED))
 
 
+@pytest.mark.parametrize("k", [50.5, 3.0, "3"])
+def test_gpas_rejects_non_integer_k_up_front(k):
+    # before any count is drawn, not deep inside the Beta sampler
+    source = ScriptedSource([5])
+    with pytest.raises(ValueError, match="k must be an integer >= 2"):
+        gpas(source, k, RngStream(SEED))
+    assert source.call_count == 0
+
+
+def test_gpas_accepts_numpy_integer_k():
+    expected = gpas(ScriptedSource([0, 1, 3]), 3, RngStream(SEED))
+    assert gpas(ScriptedSource([0, 1, 3]), np.int64(3), RngStream(SEED)) == expected
+
+
 def test_gpas_budget_guards_zero_mean():
     rng = RngStream(SEED, 2)
     source = SyntheticPoissonSource(0.0, rng, max_calls=500)

@@ -98,7 +98,11 @@ def test_vertex_budget_enforced():
 
 @pytest.mark.parametrize(
     "edges",
-    [((0, 0),), ((0, 1), (1, 0)), ((0, 1), (0, 1)), ((0, 5),)],
+    [
+        ((0, 0),), ((0, 1), (1, 0)), ((0, 1), (0, 1)), ((0, 5),),
+        # non-integer vertex ids
+        ((0, 1.5),), ((0.0, 1),), ((0, "1"),),
+    ],
 )
 def test_graph_rejects_malformed_edges(edges):
     with pytest.raises(ValueError):
@@ -133,12 +137,22 @@ def test_edge_file_non_integer_token_names_its_line(tmp_path):
 
 
 def test_edge_file_empty_needs_vertex_count(tmp_path):
+    # the vertex count comes from the edges, so an empty list has none
     path = tmp_path / "empty.txt"
     path.write_text("# nothing\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"empty\.txt: the edge list is empty"):
         LatticeGraph.from_edge_file(path)
-    graph = LatticeGraph.from_edge_file(path, vertex_count=3)
-    assert graph.vertex_count == 3 and graph.edges == ()
+
+
+@pytest.mark.parametrize("vertex_count", [3.0, 2.5, "3"])
+def test_graph_rejects_non_integer_vertex_count(vertex_count):
+    with pytest.raises(ValueError, match="positive integer"):
+        LatticeGraph(vertex_count=vertex_count, edges=())
+
+
+def test_graph_accepts_numpy_integers():
+    graph = LatticeGraph(vertex_count=np.int64(2), edges=((np.int64(0), np.int32(1)),))
+    assert build_histogram(graph).counts.tolist() == [2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +436,13 @@ def test_histogram_rejects_non_integral_counts():
 def test_histogram_rejects_nonpositive_vertex_count():
     with pytest.raises(ValueError, match="positive"):
         HamiltonianHistogram(vertex_count=0, counts=[1])
+
+
+def test_histogram_rejects_non_integer_vertex_count():
+    with pytest.raises(ValueError, match="positive integer"):
+        HamiltonianHistogram(vertex_count=2.5, counts=[2, 2])
+    with pytest.raises(ValueError, match="positive integer"):
+        HamiltonianHistogram(vertex_count=1.0, counts=[1, 1])
 
 
 def test_histogram_rejects_vertex_count_above_limit():

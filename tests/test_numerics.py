@@ -16,7 +16,6 @@ from gpas.numerics import (
     reg_lower_gamma,
     sample_beta,
     sample_bernoulli,
-    sample_gamma,
     sample_poisson,
 )
 
@@ -281,7 +280,7 @@ def test_determinism_bit_identical_across_buffering():
 @pytest.mark.parametrize("seed,stream", [(0, 0), (77, 5), (2**64 - 1, 3)])
 def test_uniforms_follow_the_block_schedule(seed, stream):
     # each refill is one Generator.random block of the next scheduled size,
-    # drawn by the call that finds the previous block spent: a Gamma draw
+    # drawn by the call that finds the previous block spent: a Beta draw
     # just after a block's first uniform, and one after its last, pin both
     # the size and the moment against the same generator driven directly
     rng = RngStream(seed, stream)
@@ -289,9 +288,9 @@ def test_uniforms_follow_the_block_schedule(seed, stream):
     for size, served in ((64, 64), (256, 256), (1024, 1024), (4096, 4096), (16384, 16384), (16384, 100)):
         block = gen.random(size).tolist()
         assert rng.next_uniform() == block[0]
-        assert sample_gamma(rng, 2.5, 1.0) == float(gen.gamma(2.5, 1.0))
+        assert sample_beta(rng, 2, 5) == float(gen.beta(2, 5))
         assert [rng.next_uniform() for _ in range(served - 1)] == block[1:served]
-        assert sample_gamma(rng, 2.5, 1.0) == float(gen.gamma(2.5, 1.0))
+        assert sample_beta(rng, 2, 5) == float(gen.beta(2, 5))
 
 
 def _mixed_draws(rng):
@@ -304,7 +303,7 @@ def _mixed_draws(rng):
         draws.append(sample_poisson(rng, 3.0))
         draws.append(sample_poisson(rng, 40.0))
         draws.append(sample_beta(rng, 2, 5))
-        draws.append(sample_gamma(rng, 2.5, 1.5))
+        draws.append(sample_beta(rng, 7, 3))
     return draws
 
 
@@ -447,53 +446,6 @@ def test_poisson_buffer_restarts_small_on_a_new_mean():
 def test_poisson_domain_errors(mu):
     with pytest.raises(ValueError):
         sample_poisson(RngStream(SEED), mu)
-
-
-# ---------------------------------------------------------------------------
-# Gamma sampler
-# ---------------------------------------------------------------------------
-
-
-def test_gamma_exponential_special_case_ks():
-    rng = RngStream(SEED, 7)
-    mu = 1.7
-    draws = np.array([sample_gamma(rng, 1.0, mu) for _ in range(100_000)])
-    result = stats.kstest(draws, lambda t: 1.0 - np.exp(-mu * t))
-    assert result.pvalue > KS_ALPHA
-
-
-def test_gamma_moment_oracle():
-    rng = RngStream(SEED, 8)
-    draws = np.array([sample_gamma(rng, 5.0, 2.0) for _ in range(100_000)])
-    se = math.sqrt(5.0 / 4.0 / 100_000)
-    assert abs(draws.mean() - 2.5) < 3.0 * se
-
-
-def test_gamma_sum_of_exponentials_matches_single_draw():
-    # sums of k exponentials built from the stream's uniforms against single
-    # draws from the generator: two independent routes to the same law
-    rng = RngStream(SEED, 9)
-    k, mu = 70, 1.3
-    sums = np.array([
-        sum(-math.log(1.0 - rng.next_uniform()) / mu for _ in range(k))
-        for _ in range(10_000)
-    ])
-    singles = np.array([sample_gamma(rng, float(k), mu) for _ in range(10_000)])
-    result = stats.ks_2samp(sums, singles, method="asymp")
-    assert result.pvalue > KS_ALPHA
-
-
-def test_gamma_fractional_shape_ks():
-    rng = RngStream(SEED, 10)
-    draws = np.array([sample_gamma(rng, 3.5, 1.0) for _ in range(50_000)])
-    result = stats.kstest(draws, lambda t: np.vectorize(reg_lower_gamma)(3.5, t))
-    assert result.pvalue > KS_ALPHA
-
-
-@pytest.mark.parametrize("shape,rate", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
-def test_gamma_domain_errors(shape, rate):
-    with pytest.raises(ValueError):
-        sample_gamma(RngStream(SEED), shape, rate)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gpas.tpa import (
 )
 from gpas.validation import (
     poisson_chi_square_pvalue,
-    replicate_tpa_counts,
+    replicate,
     replicate_two_phase,
 )
 
@@ -64,6 +65,13 @@ class RecordingFamily(NestedGibbsFamily):
 # ---------------------------------------------------------------------------
 
 
+def descent_counts(family, replicates, seed):
+    """Independent descent counts, replicate i on stream (seed, i)."""
+    return np.fromiter(
+        replicate(partial(tpa_run, family), replicates, seed), dtype=np.int64
+    )
+
+
 def test_zero_hamiltonian_family_always_returns_zero():
     family = ConstantHamiltonianFamily(h=0.0)
     rng = RngStream(SEED)
@@ -72,14 +80,14 @@ def test_zero_hamiltonian_family_always_returns_zero():
 
 def test_constant_family_counts_are_poisson():
     family = ConstantHamiltonianFamily(h=2.0)
-    counts = replicate_tpa_counts(family, 20_000, SEED)
+    counts = descent_counts(family, 20_000, SEED)
     assert abs(counts.mean() - 2.0) < 3.0 * counts.std(ddof=1) / math.sqrt(counts.size)
     assert poisson_chi_square_pvalue(counts, 2.0) > 0.001
 
 
 def test_2x2_counts_match_enumeration_oracle():
     hist = build_histogram(LatticeGraph.grid(2, 2))
-    counts = replicate_tpa_counts(IsingGibbsFamily(hist), 20_000, 1)
+    counts = descent_counts(IsingGibbsFamily(hist), 20_000, 1)
     se = counts.std(ddof=1) / math.sqrt(counts.size)
     assert abs(counts.mean() - R_2X2) < 3.0 * se
     assert poisson_chi_square_pvalue(counts, R_2X2) > 0.001
@@ -89,7 +97,7 @@ def test_2x2_counts_match_enumeration_oracle():
 
 def test_4x4_counts_match_reference_log_ratio():
     hist = build_histogram(LatticeGraph.grid(4, 4))
-    counts = replicate_tpa_counts(IsingGibbsFamily(hist), 10_000, SEED)
+    counts = descent_counts(IsingGibbsFamily(hist), 10_000, SEED)
     se = counts.std(ddof=1) / math.sqrt(counts.size)
     assert abs(counts.mean() - 15.40) < 3.0 * se + 0.005
 

@@ -25,6 +25,7 @@ from gpas.validation import (
     ks_critical_value,
     ks_statistic,
     poisson_chi_square_pvalue,
+    replicate,
     replicate_gpas,
     replicate_two_phase,
     run_all,
@@ -185,8 +186,36 @@ def test_chernoff_bound_is_looser_than_exact_calibration():
         assert exact_counts < chernoff_counts
 
 
+def test_replicate_runs_one_stream_per_replicate():
+    keys = list(replicate(lambda rng: (rng.seed, rng.stream_id), 3, SEED, 7))
+    assert keys == [(SEED, 7), (SEED, 8), (SEED, 9)]
+    assert list(replicate(lambda rng: rng.stream_id, 0, SEED)) == []
+
+
+def test_replicate_gpas_matches_scalar_runs():
+    # replicate i of a harness is the scalar run on stream (seed, offset + i)
+    t_primes, draws = replicate_gpas(2.5, 40, 4, SEED, stream_offset=10)
+    for i in range(4):
+        rng = gpas.RngStream(SEED, 10 + i)
+        result = gpas.gpas(gpas.SyntheticPoissonSource(2.5, rng), 40, rng)
+        assert (t_primes[i], draws[i]) == (result.t_prime, result.draws_used)
+
+
 def test_comparison_arm_needs_more_calls_than_scheme():
     mu, epsilon, delta, n = 5.0, 0.2, 0.2, 40
     _, scheme_totals = replicate_two_phase(mu, epsilon, delta, n, SEED)
     arm_totals = chernoff_two_phase_calls(mu, epsilon, delta, n, SEED)
     assert scheme_totals.mean() < arm_totals.mean()
+
+
+@pytest.mark.parametrize(
+    "seed, expected",
+    [
+        (0, [7991, 9202, 9202, 8667, 8582]),
+        (1, [8413, 9765, 8413, 8892, 9286]),
+        (2, [8667, 8751, 8948, 8610, 8667]),
+    ],
+)
+def test_comparison_arm_totals_pinned(seed, expected):
+    # pins the arm's stream ids: replicate i draws its pilot from (seed, i)
+    assert chernoff_two_phase_calls(15.4, 0.2, 0.01, 5, seed).tolist() == expected
