@@ -180,11 +180,12 @@ def gpas(source: PoissonSource, k: int, rng: RngStream) -> GpasResult:
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    next_count = source.next_count
     arrivals = 0
     intervals = 0
     t_prime = -1.0
     while arrivals < k:
-        count = source.next_count()
+        count = next_count()
         if arrivals + count >= k:
             within = k - arrivals  # rank of the k-th point in this interval
             a, b = within, count - within + 1
@@ -205,10 +206,11 @@ def failure_probability(k: int, epsilon: float) -> float:
     tail is evaluated directly, not as one minus the CDF, so it keeps its
     relative precision when it is far below machine epsilon.
     """
-    if not isinstance(k, int) or k < 2:
+    if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
+    k = int(k)
     rate = float(k - 1)
     low_tail = reg_lower_gamma(k, rate / (1.0 + epsilon))
     high_tail = _reg_upper_gamma(k, rate / (1.0 - epsilon))

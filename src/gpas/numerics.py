@@ -3,10 +3,11 @@
 Everything stochastic in this package is driven by :class:`RngStream`, a
 seedable stream addressed by a ``(seed, stream_id)`` pair.  Uniforms
 (:meth:`RngStream.next_uniform`) and Bernoulli draws come from the stream's
-buffered uniforms, Poisson counts from its buffered counts of one mean, and
-Beta draws straight from its underlying numpy generator.  The same
-pair and the same sequence of calls reproduce the same draws within one numpy
-version, and independent replicates run on distinct stream ids.
+buffered uniforms, Beta draws straight from its underlying numpy generator,
+and Poisson counts from buffered counts of one mean, drawn from a Philox
+substream of their own.  The same pair and the same sequence of calls
+reproduce the same draws within one numpy version, and independent replicates
+run on distinct stream ids.
 
 The deterministic side supplies exact Gamma tail probabilities and quantiles
 to the calibration and confidence-interval code: the regularized lower
@@ -212,9 +213,17 @@ def gamma_quantile(shape: float, rate: float, q: float) -> float:
 # Random stream and variate samplers
 # ---------------------------------------------------------------------------
 
-# Refill sizes grow so short-lived streams stay cheap while long-lived ones
-# amortize generator overhead.
+# Uniform refill sizes grow so short-lived streams stay cheap while long-lived
+# ones amortize generator overhead.
 _BUFFER_SCHEDULE = (64, 256, 1024, 4096, 16384)
+
+# Counts of one mean are refilled in blocks that double from the first size
+# up to the cap.  Their generator is keyed like the stream's own and starts
+# at this counter, 2^255 blocks past the stream's start, so the two never
+# meet.
+_COUNT_BLOCK_FIRST = 64
+_COUNT_BLOCK_CAP = 16384
+_COUNT_COUNTER = (0, 0, 0, 2**63)
 
 
 class RngStream:
@@ -226,15 +235,21 @@ class RngStream:
     each with period 2^256.  :meth:`next_uniform` pops uniforms from an
     iterator over a block of ``Generator.random`` draws, and draws the next
     block (64, 256, 1024, 4096, then 16384 values) only when a call finds
-    the current one spent.  :func:`sample_poisson` is served the same
-    way from a second buffer that holds counts of one mean: a call with
-    another mean discards the buffered counts and restarts that buffer at its
-    smallest block.  Every buffered value is an independent draw, so
-    what one call leaves unused is as good as a fresh draw for the next.
-    The Beta sampler of this module draws from the same generator, so a
-    refill and a sampler call each advance it.  The same pair and the
-    same sequence of calls therefore reproduce the same draws within one
-    numpy version.
+    the current one spent.  The Beta sampler of this module draws from the
+    same generator, so a refill and a sampler call each advance it.
+
+    Poisson counts come from a substream of their own: a second Philox
+    generator with the same key, started at counter ``(0, 0, 0, 2^63)``
+    and created by the first count, so a stream that draws none (a
+    descent's) never builds it.  :func:`sample_poisson` pops counts of one
+    mean from a buffer that it refills in blocks doubling from 64 to 16384;
+    a call with another mean discards the buffered counts and restarts at 64.
+    numpy's Poisson draws of one mean in blocks of a and b equal one block
+    of a + b, and no other draw touches the substream, so the counts of a
+    run at one mean are one fixed sequence: they do not depend on the block
+    sizes, nor on the uniforms and Beta draws taken between them.  The same
+    pair and the same sequence of calls therefore reproduce the same draws
+    within one numpy version.
 
     A stream is single-owner mutable state: never share one instance across
     threads.  Run concurrent replicates on distinct stream ids instead.
@@ -242,7 +257,7 @@ class RngStream:
 
     __slots__ = (
         "seed", "stream_id", "_gen", "_next_buffered", "_refills",
-        "_next_count", "_count_refills", "_count_mu",
+        "_count_gen", "_next_count", "_count_block", "_count_mu",
     )
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
@@ -253,15 +268,20 @@ class RngStream:
                 raise ValueError(f"{name} must fit in 64 unsigned bits, got {value!r}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = np.random.Generator(np.random.Philox(key=self._key()))
         # __next__ of an iterator over the current block of uniforms
         self._next_buffered = iter(()).__next__
         self._refills = 0
-        # __next__ of an iterator over the current block of counts of _count_mu
+        # the count substream, built by the first count
+        self._count_gen = None
+        # __next__ of an iterator over the current block of counts of
+        # _count_mu, a mean that sample_poisson has validated (NaN matches none)
         self._next_count = iter(()).__next__
-        self._count_refills = 0
-        self._count_mu = 0.0
+        self._count_block = _COUNT_BLOCK_FIRST
+        self._count_mu = math.nan
+
+    def _key(self) -> np.ndarray:
+        return np.array([self.seed, self.stream_id], dtype=np.uint64)
 
     def next_uniform(self) -> float:
         """Next uniform variate in [0, 1)."""
@@ -273,21 +293,20 @@ class RngStream:
             self._next_buffered = iter(self._gen.random(size).tolist()).__next__
             return self._next_buffered()
 
-    def _next_poisson(self, mu: float) -> int:
-        # sample_poisson validates mu; numpy rejects means it cannot draw
-        if mu != self._count_mu:
-            # counts of another mean are useless: restart the schedule small
-            self._count_mu = mu
-            self._next_count = iter(()).__next__
-            self._count_refills = 0
-        try:
-            return self._next_count()
-        except StopIteration:
-            step = min(self._count_refills, len(_BUFFER_SCHEDULE) - 1)
-            self._count_refills += 1
-            block = self._gen.poisson(mu, _BUFFER_SCHEDULE[step]).tolist()
-            self._next_count = iter(block).__next__
-            return self._next_count()
+    def _refill_counts(self, mu: float) -> int:
+        # called by sample_poisson, which validates mu, when the buffer is
+        # spent or holds counts of another mean; numpy rejects means it
+        # cannot draw before any state changes
+        if self._count_gen is None:
+            self._count_gen = np.random.Generator(
+                np.random.Philox(key=self._key(), counter=_COUNT_COUNTER)
+            )
+        size = self._count_block if mu == self._count_mu else _COUNT_BLOCK_FIRST
+        block = self._count_gen.poisson(mu, size).tolist()
+        self._count_mu = mu
+        self._count_block = min(2 * size, _COUNT_BLOCK_CAP)
+        self._next_count = iter(block).__next__
+        return self._next_count()
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -301,18 +320,25 @@ def sample_bernoulli(rng: RngStream, p: float) -> bool:
 
 
 def sample_poisson(rng: RngStream, mu: float) -> int:
-    """Poisson(mu) count from the stream's buffered counts; mu = 0 returns 0.
+    """Poisson(mu) count from the stream's count substream; mu = 0 returns 0.
 
-    Counts are drawn by the stream's generator in blocks of one mean (see
-    :class:`RngStream`), so a run of calls at one mean costs an iterator pop
-    each.  The cost does not grow with mu; means above about 9.2e18 raise
-    ValueError.
+    Counts are drawn in blocks of one mean from a Philox substream that
+    nothing else draws from (see :class:`RngStream`), so the counts of one
+    mean are the same sequence whatever the block sizes and whatever other
+    draws fall between them.  A call at the buffered mean pops the next
+    count, which skips even the argument check (that mean passed it).  The
+    cost does not grow with mu; means above about 9.2e18 raise ValueError.
     """
+    if mu == rng._count_mu:
+        try:
+            return rng._next_count()
+        except StopIteration:
+            return rng._refill_counts(mu)
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ValueError(f"mu must be a nonnegative finite real, got {mu!r}")
     if mu == 0.0:
         return 0
-    return rng._next_poisson(mu)
+    return rng._refill_counts(mu)
 
 
 def sample_beta(rng: RngStream, a: int, b: int) -> float:

@@ -34,7 +34,7 @@ from functools import partial
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
-from scipy.special import kolmogi
+from scipy.special import chndtr, kolmogi
 
 from .core import (
     SyntheticPoissonSource,
@@ -43,7 +43,7 @@ from .core import (
     gpas,
 )
 from .ising import IsingGibbsFamily, LatticeGraph, build_histogram, log_partition_function
-from .numerics import RngStream, reg_lower_gamma, sample_poisson
+from .numerics import RngStream, sample_poisson
 from .tpa import (
     phase2_epsilon,
     relative_error_transfer,
@@ -108,11 +108,17 @@ def ks_critical_value(n: int, m: int | None = None) -> float:
     return float(kolmogi(KS_SIGNIFICANCE)) * scale
 
 
-def ks_statistic(sample: Sequence[float], cdf: Callable[[float], float]) -> float:
-    """One-sample KS statistic of ``sample`` against the given CDF."""
+def ks_statistic(
+    sample: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]
+) -> float:
+    """One-sample KS statistic of ``sample`` against the given CDF.
+
+    ``cdf`` is applied once, to the whole sorted sample as a float array,
+    so it must be vectorised (a ufunc or a numpy expression).
+    """
     ordered = np.sort(np.asarray(sample, dtype=np.float64))
     n = ordered.size
-    cdf_values = np.array([cdf(x) for x in ordered])
+    cdf_values = np.asarray(cdf(ordered), dtype=np.float64)
     above = np.max(np.arange(1, n + 1) / n - cdf_values)
     below = np.max(cdf_values - np.arange(0, n) / n)
     return float(max(above, below))
@@ -302,7 +308,8 @@ def check_distribution_law(
     if replicates < MIN_REPLICATES:
         return _underpowered(name, MIN_REPLICATES, replicates)
     t_primes, _ = replicate_gpas(mu, k, replicates, seed)
-    statistic = ks_statistic(mu * t_primes, lambda x: reg_lower_gamma(k, x))
+    # the Gamma(k, 1) CDF at x is the chi-square(2k) CDF at 2x, from Boost
+    statistic = ks_statistic(mu * t_primes, lambda x: chndtr(2.0 * x, 2.0 * k, 0.0))
     threshold = ks_critical_value(replicates)
     return PropertyResult(
         name=name,

@@ -34,13 +34,13 @@ from gpas.validation import (
 SEED = 202
 
 # Frozen from a verified run (seed 20260810, stream 0; mu=1, epsilon=0.2,
-# delta=0.1).  The Poisson and Beta draws come from numpy's generator, so the
+# delta=0.1).  The counts and the Beta draw come from numpy's generators, so the
 # pin holds within one numpy version.
 GOLDEN_EXACT_GPAS = GpasResult(
     k=67,
-    t_prime=66.77201483231624,
-    mu_hat=0.9884380479718188,
-    draws_used=67,
+    t_prime=63.31712964126344,
+    mu_hat=1.0423719516967513,
+    draws_used=64,
 )
 
 
@@ -175,6 +175,12 @@ def test_failure_probability_golden_k2561():
     assert abs(failure_probability(2561, 0.1) - 9.970e-7) < 5e-11
 
 
+def test_failure_probability_accepts_numpy_integer_k():
+    # as gpas, sample_beta and RngStream do
+    assert failure_probability(np.int64(100), 0.2) == failure_probability(100, 0.2)
+    assert failure_probability(np.int32(3), 0.5) == failure_probability(3, 0.5)
+
+
 def test_failure_probability_monotone_in_k():
     for epsilon in (0.05, 0.1, 0.3, 0.7):
         values = [failure_probability(k, epsilon) for k in range(3, 400, 7)]
@@ -220,7 +226,13 @@ def test_failure_probability_against_mpmath():
         assert checked > 40
 
 
-@pytest.mark.parametrize("k,epsilon", [(1, 0.1), (2.5, 0.1), (5, 0.0), (5, 1.0), (5, -0.2)])
+@pytest.mark.parametrize(
+    "k,epsilon",
+    [
+        (1, 0.1), (2.5, 0.1), (5, 0.0), (5, 1.0), (5, -0.2),
+        (np.int64(1), 0.1), (np.float64(100.0), 0.1),
+    ],
+)
 def test_failure_probability_domain_errors(k, epsilon):
     with pytest.raises(ValueError):
         failure_probability(k, epsilon)

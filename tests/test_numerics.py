@@ -308,8 +308,8 @@ def _mixed_draws(rng):
 
 
 def test_determinism_bit_identical_across_mixed_calls():
-    # uniforms come from a buffer and the samplers from the same generator,
-    # so both paths must advance it identically on every replay
+    # uniforms come from a buffer, Beta draws from the same generator and
+    # counts from its substream, so every path must replay identically
     first = _mixed_draws(RngStream(77, 5))
     assert first == _mixed_draws(RngStream(77, 5))
     assert first != _mixed_draws(RngStream(77, 6))
@@ -411,6 +411,58 @@ def test_poisson_buffer_interleaved_means():
         assert abs(sample.var(ddof=1) - mu) <= 4.0 * math.sqrt((mu + 2.0 * mu * mu) / n)
 
 
+def _count_substream(seed, stream):
+    # the documented count substream: the stream's key at counter 2^255
+    counter = np.array([0, 0, 0, 2**63], dtype=np.uint64)
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+@pytest.mark.parametrize("mu", [0.3, 2.0, 15.4, 1e4])
+@pytest.mark.parametrize("seed,stream", [(0, 0), (77, 5), (2**64 - 1, 3)])
+def test_poisson_counts_equal_one_substream_draw(seed, stream, mu):
+    # 40000 counts span ten refills (64 doubling to the 16384 cap, then the
+    # cap twice), yet they are one direct draw of 40000 on the substream
+    rng = RngStream(seed, stream)
+    got = [sample_poisson(rng, mu) for _ in range(40_000)]
+    assert got == _count_substream(seed, stream).poisson(mu, 40_000).tolist()
+
+
+def test_poisson_counts_ignore_other_draws_in_between():
+    # uniforms and Beta draws never touch the count substream, whatever
+    # their number and wherever they fall between counts
+    plain = RngStream(77, 5)
+    mixed = RngStream(77, 5)
+    expected = [sample_poisson(plain, 15.4) for _ in range(30_000)]
+    got = []
+    for i in range(30_000):
+        for _ in range(i % 7):
+            mixed.next_uniform()
+        if i % 3 == 0:
+            sample_beta(mixed, 2, 5)
+        got.append(sample_poisson(mixed, 15.4))
+    assert got == expected
+
+
+def test_uniform_only_streams_build_no_count_substream():
+    rng = RngStream(77, 5)
+    for _ in range(1_000):
+        rng.next_uniform()
+        sample_beta(rng, 2, 5)
+        sample_poisson(rng, 0.0)
+    assert rng._count_gen is None
+
+
+def test_rejected_mean_leaves_the_count_buffer_intact():
+    rng, twin = RngStream(77, 5), RngStream(77, 5)
+    expected = [sample_poisson(twin, 3.0) for _ in range(200)]
+    got = [sample_poisson(rng, 3.0) for _ in range(100)]
+    with pytest.raises(ValueError):
+        sample_poisson(rng, 1e20)
+    got.extend(sample_poisson(rng, 3.0) for _ in range(100))
+    assert got == expected
+
+
 class _CountingGenerator:
     """Generator proxy that records how many Poisson counts each fill draws."""
 
@@ -422,21 +474,18 @@ class _CountingGenerator:
         self.poisson_drawn += size
         return self._gen.poisson(lam, size)
 
-    def __getattr__(self, name):
-        return getattr(self._gen, name)
-
 
 def test_poisson_buffer_restarts_small_on_a_new_mean():
     # alternating means must not refill ever larger blocks: each switch
     # draws one smallest block, so the mixed-calls replay stays cheap
     rng = RngStream(77, 5)
-    counter = _CountingGenerator(rng._gen)
-    rng._gen = counter
+    rng._count_gen = counter = _CountingGenerator(_count_substream(77, 5))
     _mixed_draws(rng)
     assert counter.poisson_drawn == 8_000 * 64
-    # one mean throughout grows the blocks: 1e5 counts take few fills
+    # one mean throughout doubles the blocks to their cap: 1e5 counts take
+    # 64 + 128 + ... + 16384 and then five blocks of 16384, 114,624 in all
     rng = RngStream(77, 5)
-    rng._gen = counter = _CountingGenerator(rng._gen)
+    rng._count_gen = counter = _CountingGenerator(_count_substream(77, 5))
     for _ in range(100_000):
         sample_poisson(rng, 3.0)
     assert counter.poisson_drawn < 120_000

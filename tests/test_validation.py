@@ -39,7 +39,7 @@ def test_ks_statistic_matches_scipy():
 
     rng = np.random.default_rng(SEED)
     sample = rng.exponential(size=500)
-    ours = ks_statistic(sample, lambda x: 1.0 - math.exp(-x))
+    ours = ks_statistic(sample, lambda x: 1.0 - np.exp(-x))
     theirs = kstest(sample, lambda x: 1.0 - np.exp(-x)).statistic
     assert ours == pytest.approx(theirs, abs=1e-12)
 
@@ -211,9 +211,9 @@ def test_comparison_arm_needs_more_calls_than_scheme():
 @pytest.mark.parametrize(
     "seed, expected",
     [
-        (0, [7991, 9202, 9202, 8667, 8582]),
-        (1, [8413, 9765, 8413, 8892, 9286]),
-        (2, [8667, 8751, 8948, 8610, 8667]),
+        (0, [7737, 8610, 8976, 8526, 9202]),
+        (1, [8216, 8695, 7653, 9427, 8272]),
+        (2, [9540, 9145, 8920, 8244, 8807]),
     ],
 )
 def test_comparison_arm_totals_pinned(seed, expected):
