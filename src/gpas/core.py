@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -69,34 +70,28 @@ _MONOTONE_SLACK = 1e-12
 class PoissonSource(ABC):
     """Stream of iid nonnegative integer counts with a common unknown mean.
 
-    Implementors supply :meth:`_draw`; the base class counts calls and
-    enforces the ``max_calls`` budget, which every source has.  The budget
-    is the guard against a mean of (nearly) zero, where a sequential
+    Implementors supply :meth:`_draw`.  The base class holds the
+    ``max_calls`` budget, which every source has, and ``call_count``, the
+    counts drawn so far; :func:`gpas`, the only consumer, charges both.  The
+    budget is the guard against a mean of (nearly) zero, where a sequential
     stopping rule would never accumulate enough arrivals to terminate.
 
     A source is single-owner state: one estimator run at a time.
     """
 
     def __init__(self, max_calls: int = DEFAULT_SOURCE_BUDGET) -> None:
-        if max_calls < 1:
-            raise ValueError(f"max_calls must be positive, got {max_calls!r}")
+        if not isinstance(max_calls, (int, np.integer)) or max_calls < 1:
+            raise ValueError(f"max_calls must be a positive integer, got {max_calls!r}")
         self.max_calls = max_calls
         self.call_count = 0
 
-    def next_count(self) -> int:
-        """Draw the next count; increments ``call_count`` by exactly one."""
-        if self.call_count >= self.max_calls:
-            raise BudgetExceededError(
-                f"count source exhausted its budget of {self.max_calls} draws "
-                "(is the mean 0, or the budget too small?)"
-            )
-        value = self._draw()
-        self.call_count += 1
-        return value
-
     @abstractmethod
     def _draw(self) -> int:
-        """Produce one count (subclass hook; use :meth:`next_count`)."""
+        """Produce one count.
+
+        Called only by :func:`gpas`, which checks the budget before each
+        draw and adds the counts it drew to ``call_count`` when it stops.
+        """
 
 
 class SyntheticPoissonSource(PoissonSource):
@@ -171,7 +166,9 @@ def gpas(source: PoissonSource, k: int, rng: RngStream) -> GpasResult:
 
     The returned ``mu_hat`` is distributed inverse-gamma with shape ``k``
     and scale ``(k - 1) mu``; the expected number of draws is at most
-    1 + k / mu.
+    1 + k / mu.  The run charges the source: it draws at most
+    ``max_calls - call_count`` counts and adds the number drawn to
+    ``call_count``, also when it raises.
 
     Raises:
         ValueError: if ``k`` is not an integer >= 2 (the estimate's mean
@@ -180,19 +177,30 @@ def gpas(source: PoissonSource, k: int, rng: RngStream) -> GpasResult:
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
-    next_count = source.next_count
+    # the loop charges the source's budget itself, so a count costs one
+    # bound-method frame; call_count is settled once, however the run ends
+    draw = source._draw
+    remaining = source.max_calls - source.call_count
     arrivals = 0
     intervals = 0
     t_prime = -1.0
-    while arrivals < k:
-        count = next_count()
-        if arrivals + count >= k:
-            within = k - arrivals  # rank of the k-th point in this interval
-            a, b = within, count - within + 1
-            assert a >= 1 and b >= 1, "beta parameters must be >= 1 by construction"
-            t_prime = intervals + sample_beta(rng, a, b)
-        arrivals += count
-        intervals += 1
+    try:
+        while arrivals < k:
+            if intervals >= remaining:
+                raise BudgetExceededError(
+                    f"count source exhausted its budget of {source.max_calls} draws "
+                    "(is the mean 0, or the budget too small?)"
+                )
+            count = draw()
+            if arrivals + count >= k:
+                within = k - arrivals  # rank of the k-th point in this interval
+                a, b = within, count - within + 1
+                assert a >= 1 and b >= 1, "beta parameters must be >= 1 by construction"
+                t_prime = intervals + sample_beta(rng, a, b)
+            arrivals += count
+            intervals += 1
+    finally:
+        source.call_count += intervals
     mu_hat = (k - 1) / t_prime
     return GpasResult(k=k, t_prime=t_prime, mu_hat=mu_hat, draws_used=intervals)
 
@@ -217,6 +225,7 @@ def failure_probability(k: int, epsilon: float) -> float:
     return low_tail + high_tail
 
 
+@lru_cache(maxsize=2)
 def calibrate(epsilon: float, delta: float, k_cap: int = 10_000_000) -> Calibration:
     """Find the minimal k >= 3 whose failure probability is at most delta.
 
@@ -233,6 +242,10 @@ def calibrate(epsilon: float, delta: float, k_cap: int = 10_000_000) -> Calibrat
     choice fail with probability exactly delta.  In the corner where even
     k = 2 already beats delta, no exact mixture exists and p is clamped to
     1 (always use k - 1 = 2; strictly conservative).
+
+    The last two calibrations are memoized, one two-phase run's pair: phase
+    1's, whose (eps, delta) is the same in every run, then stays cached from
+    one run to the next.  ``calibrate.cache_clear()`` empties the cache.
 
     Raises:
         ValueError: on parameters outside (0, 1).

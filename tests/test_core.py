@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtri, pdtr
 
 from gpas.core import (
     _MONOTONE_SLACK,
@@ -115,13 +115,55 @@ def test_gpas_budget_guards_zero_mean():
 
 
 def test_source_call_count_increments_by_one():
+    # gpas charges one call per count it draws, and a second run on the same
+    # source adds to the first: counts 3 | 0, 7
     source = ScriptedSource([3, 0, 7])
     assert source.call_count == 0
-    source.next_count()
+    assert gpas(source, 2, RngStream(SEED)).draws_used == 1
     assert source.call_count == 1
-    source.next_count()
-    source.next_count()
+    assert gpas(source, 5, RngStream(SEED)).draws_used == 2
     assert source.call_count == 3
+
+
+def test_gpas_budget_spans_runs():
+    # the budget is the source's, not the run's: a spent source raises before
+    # drawing again, and call_count stays at the budget
+    rng = RngStream(SEED, 5)
+    source = SyntheticPoissonSource(0.0, rng, max_calls=10)
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match="budget of 10 draws"):
+            gpas(source, 5, rng)
+        assert source.call_count == 10
+
+
+def test_gpas_charges_what_it_drew_when_the_source_fails():
+    # a count source that raises mid-run (a descent past its step cap, say)
+    # leaves call_count at the counts drawn before it
+    class FailingSource(ScriptedSource):
+        def _draw(self):
+            if not self._counts:
+                raise RuntimeError("source failed")
+            return super()._draw()
+
+    source = FailingSource([0, 1, 0])
+    with pytest.raises(RuntimeError, match="source failed"):
+        gpas(source, 5, RngStream(SEED))
+    assert source.call_count == 3
+
+
+@pytest.mark.parametrize("max_calls", [0, -1, 2.5, math.inf, "10", 10.0])
+def test_source_rejects_non_integer_or_nonpositive_budget(max_calls):
+    # 2.5 would act as 3 and inf would remove the budget
+    with pytest.raises(ValueError, match="max_calls must be a positive integer"):
+        SyntheticPoissonSource(1.0, RngStream(SEED), max_calls=max_calls)
+
+
+def test_source_accepts_numpy_integer_budget():
+    rng = RngStream(SEED, 6)
+    source = SyntheticPoissonSource(0.0, rng, max_calls=np.int64(7))
+    with pytest.raises(BudgetExceededError, match="budget of 7 draws"):
+        gpas(source, 5, rng)
+    assert source.call_count == 7
 
 
 def test_gpas_deterministic_under_fixed_seed():
@@ -130,6 +172,33 @@ def test_gpas_deterministic_under_fixed_seed():
         return gpas(SyntheticPoissonSource(2.5, rng), 40, rng)
 
     assert run() == run()
+
+
+def _mean_draws_oracle(mu, k):
+    # draws = ceil(T') with T' ~ Gamma(k, rate mu), so P(draws > j) =
+    # P(Poisson(mu j) <= k - 1); sum the series for the mean and second moment
+    j = np.arange(int(k / mu + 60.0 * math.sqrt(k) / mu + 60.0))
+    survival = pdtr(k - 1, mu * j)
+    assert survival[-1] < 1e-30
+    mean = float(survival.sum())
+    return mean, float(((2 * j + 1) * survival).sum()) - mean**2
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mu,k", [(1.0, 100), (15.4, 200), (0.3, 10)])
+def test_gpas_mean_draws_match_exact_law(mu, k):
+    # two-sided against the exact mean, unlike check_running_time's
+    # bracket [k/mu, 1 + k/mu]; the oracle uses scipy, not gpas.numerics
+    n = 20_000
+    rng = RngStream(SEED, 7)
+    draws = np.empty(n)
+    for i in range(n):
+        source = SyntheticPoissonSource(mu, rng)
+        draws[i] = gpas(source, k, rng).draws_used
+        assert source.call_count == draws[i]
+    mean, variance = _mean_draws_oracle(mu, k)
+    assert abs(draws.mean() - mean) <= 3.0 * math.sqrt(variance / n), (draws.mean(), mean)
+    assert k / mu <= mean <= 1.0 + k / mu
 
 
 def test_gpas_running_time_bound():
@@ -202,20 +271,44 @@ def test_failure_probability_nonincreasing_in_k(k, epsilon):
     assert failure_probability(k + 1, epsilon) <= failure_probability(k, epsilon) + _MONOTONE_SLACK
 
 
+def _mpmath_lower_gamma(mpmath, k, x):
+    # mpmath's lower series does not converge at k >= 5e6, so there the tail
+    # is 1 minus the upper one, at a precision above the tail's decimal
+    # exponent: Chernoff bounds it by exp(-k (t - 1 - ln t)) with t = x / k,
+    # and a tail below 1e-400 is taken as 0
+    if k < 5_000_000:
+        return mpmath.gammainc(k, 0, mpmath.mpf(x), regularized=True)
+    t = x / k
+    digits = k * (t - 1.0 - math.log(t)) / math.log(10.0)
+    if digits > 400:
+        return mpmath.mpf(0)
+    with mpmath.workdps(int(digits) + 40):
+        return 1 - mpmath.gammainc(k, mpmath.mpf(x), mpmath.inf, regularized=True)
+
+
+# phase 2 at r = 164, about where eps 0.2 and delta 0.01 reach the k cap:
+# eps2 = ln(1.2) 0.8 / 164 calibrates to k2 = 9961565 at delta / 2
+PHASE2_AT_CAP = (9_961_565, math.log(1.2) * 0.8 / 164.0)
+
+
 def test_failure_probability_against_mpmath():
-    # both tails against 40-digit mpmath over eps in [0.005, 0.5] and k up
-    # to 1.5e6; at (7667, 0.1) the upper tail is 3e-21 of a 1e-16 total, and
+    # both tails against mpmath (40 digits, more for the lower tail at
+    # k >= 5e6) over eps in [0.005, 0.5] and k up to the calibration cap of
+    # 1e7; at (7667, 0.1) the upper tail is 3e-21 of a 1e-16 total, and
     # taking it as 1 - P loses all of it (3.2e-5 relative)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        cases = [(7667, 0.1)] + [
+        cases = [(7667, 0.1), PHASE2_AT_CAP] + [
             (k, epsilon)
             for epsilon in np.geomspace(0.005, 0.5, 6).tolist()
-            for k in np.unique(np.geomspace(3, 1.5e6, 10).astype(int)).tolist()
+            for k in np.unique(np.rint(np.geomspace(3, 1e7, 12)).astype(int)).tolist()
         ]
+        # phase 2's precisions near the cap, where both tails are normal doubles
+        cases += [(k, epsilon) for k in (5_000_000, 10_000_000)
+                  for epsilon in (0.0005, 0.001, 0.002, 0.004)]
         checked = 0
         for k, epsilon in cases:
-            low = mpmath.gammainc(k, 0, mpmath.mpf((k - 1) / (1.0 + epsilon)), regularized=True)
+            low = _mpmath_lower_gamma(mpmath, k, (k - 1) / (1.0 + epsilon))
             high = mpmath.gammainc(k, mpmath.mpf((k - 1) / (1.0 - epsilon)), mpmath.inf,
                                    regularized=True)
             exact = low + high
@@ -223,7 +316,7 @@ def test_failure_probability_against_mpmath():
                 continue
             assert float(abs(failure_probability(k, epsilon) / exact - 1)) <= 1e-12, (k, epsilon)
             checked += 1
-        assert checked > 40
+        assert checked > 50
 
 
 @pytest.mark.parametrize(
@@ -296,7 +389,17 @@ def test_calibrate_search_cap():
     assert calibrate(0.1, 1e-6, k_cap=2561).k == 2561
 
 
-def test_calibrate_detects_non_monotone_failure_probability(monkeypatch):
+@pytest.fixture
+def uncached_calibrate():
+    # calibrate memoizes its last two calibrations: a test that swaps
+    # failure_probability must neither read one made before the swap nor
+    # leave one made with it
+    calibrate.cache_clear()
+    yield
+    calibrate.cache_clear()
+
+
+def test_calibrate_detects_non_monotone_failure_probability(monkeypatch, uncached_calibrate):
     # the search leans on monotonicity; a violation among the probed
     # indices must surface as a search failure, not a wrong calibration
     import gpas.core as core_module
@@ -314,6 +417,18 @@ def test_calibrate_detects_non_monotone_failure_probability(monkeypatch):
     monkeypatch.setattr(core_module, "failure_probability", warped)
     with pytest.raises(CalibrationError, match="not monotone"):
         core_module.calibrate(epsilon, delta)
+
+
+def test_calibrate_keeps_phase_one_cached_across_runs(uncached_calibrate):
+    # two two-phase runs: phase 1's (0.2, 0.005) is computed once, and each
+    # phase 2 calibration in between leaves it in the cache
+    first = calibrate(0.2, 0.005)
+    calibrate(0.0097, 0.005)
+    assert calibrate(0.2, 0.005) is first
+    calibrate(0.0095, 0.005)
+    assert calibrate(0.2, 0.005) is first
+    info = calibrate.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (2, 3, 2)
 
 
 def _doubling_calibrate(epsilon, delta):
@@ -345,7 +460,9 @@ def _doubling_calibrate(epsilon, delta):
 
 
 @pytest.mark.slow
-def test_calibrate_matches_doubling_search_in_a_dozen_probes(monkeypatch):
+def test_calibrate_matches_doubling_search_in_a_dozen_probes(
+    monkeypatch, uncached_calibrate
+):
     # both searches probe the same failure_probability, so the normal-guess
     # start must change the probe count and nothing else
     import gpas.core as core_module

@@ -114,19 +114,23 @@ def test_reg_lower_gamma_domain_errors(shape, x):
 
 def test_reg_upper_gamma_against_mpmath():
     # the upper tail at the arguments failure_probability uses, over
-    # eps in [0.005, 0.5] and k up to 1.5e6, against 40-digit mpmath; taking
-    # it as 1 - P instead loses it entirely once it falls below 1e-16
+    # eps in [0.005, 0.5] and k up to the calibration cap of 1e7, plus phase
+    # 2's eps2 = 8.9e-4 at k2 = 9961565 (r = 164), against 40-digit mpmath;
+    # taking it as 1 - P instead loses it entirely once it falls below 1e-16
     mpmath = pytest.importorskip("mpmath")
+    ks = np.unique(np.rint(np.geomspace(3, 1e7, 18)).astype(int)).tolist()
+    cases = [(9_961_565, math.log(1.2) * 0.8 / 164.0)] + [
+        (k, epsilon) for epsilon in np.geomspace(0.005, 0.5, 12).tolist() for k in ks
+    ]
     with mpmath.workdps(40):
         checked = 0
-        for epsilon in np.geomspace(0.005, 0.5, 12).tolist():
-            for k in np.unique(np.geomspace(3, 1.5e6, 16).astype(int)).tolist():
-                x = (k - 1) / (1.0 - epsilon)
-                exact = mpmath.gammainc(k, mpmath.mpf(x), mpmath.inf, regularized=True)
-                if exact < 1e-300:
-                    continue  # below the smallest normal double
-                assert float(abs(_reg_upper_gamma(k, x) / exact - 1)) <= 1e-12, (k, epsilon)
-                checked += 1
+        for k, epsilon in cases:
+            x = (k - 1) / (1.0 - epsilon)
+            exact = mpmath.gammainc(k, mpmath.mpf(x), mpmath.inf, regularized=True)
+            if exact < 1e-300:
+                continue  # below the smallest normal double
+            assert float(abs(_reg_upper_gamma(k, x) / exact - 1)) <= 1e-12, (k, epsilon)
+            checked += 1
         assert checked > 100
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gpas import tpa
-from gpas.core import SyntheticPoissonSource
+from gpas.core import SyntheticPoissonSource, gpas
 from gpas.errors import BudgetExceededError, IterationCapError
 from gpas.ising import IsingGibbsFamily, LatticeGraph, build_histogram
 from gpas.numerics import RngStream
@@ -133,12 +133,21 @@ def test_tpa_run_rejects_invalid_hamiltonian(bad):
         tpa_run(family, RngStream(SEED))
 
 
-def test_tpa_source_counts_calls():
-    family = ConstantHamiltonianFamily(h=2.0)
-    source = TpaPoissonSource(family, RngStream(SEED, 2))
-    for _ in range(17):
-        source.next_count()
-    assert source.call_count == 17
+def test_tpa_source_counts_calls(monkeypatch):
+    # every count gpas charges is one descent, over two runs on one source
+    descents = []
+
+    def counted(family, rng):
+        descents.append(1)
+        return tpa_run(family, rng)
+
+    monkeypatch.setattr(tpa, "tpa_run", counted)
+    rng = RngStream(SEED, 2)
+    source = TpaPoissonSource(ConstantHamiltonianFamily(h=2.0), rng)
+    first = gpas(source, 30, rng)
+    assert source.call_count == first.draws_used == len(descents)
+    second = gpas(source, 30, rng)
+    assert source.call_count == first.draws_used + second.draws_used == len(descents)
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +250,22 @@ def test_two_phase_guarantee_on_synthetic_source():
     limit = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / n)
     assert failures.mean() <= limit
     assert totals.min() > 0
+
+
+@pytest.mark.slow
+def test_two_phase_ci_coverage_is_exact():
+    # phase 2's interval for r is exact given its k, so its image under exp
+    # covers exp(r) with probability exactly 1 - delta: two-sided at 3 sigma
+    mu, epsilon, delta, n = 4.0, 0.2, 0.1, 4000
+    ratio = math.exp(mu)
+
+    def covers(rng):
+        ci = two_phase_from_source(
+            lambda: SyntheticPoissonSource(mu, rng), epsilon, delta, rng
+        ).ci
+        assert ci.coverage == pytest.approx(1.0 - delta)
+        return ci.lower <= ratio <= ci.upper
+
+    hits = np.fromiter(replicate(covers, n, SEED), dtype=bool, count=n)
+    sigma = math.sqrt(delta * (1.0 - delta) / n)
+    assert abs(hits.mean() - (1.0 - delta)) <= 3.0 * sigma, hits.mean()
