@@ -3,15 +3,16 @@
 The package turns a stream of iid Poisson counts into an estimate whose
 relative-error distribution is known exactly and free of the unknown mean
 (:mod:`gpas.core`), supplies the special functions and seeded samplers that
-power it (:mod:`gpas.numerics`), adapts nested Gibbs families into Poisson
-count sources for ratio estimation (:mod:`gpas.tpa`), validates the whole
-stack against an exactly enumerable Ising model (:mod:`gpas.ising`), and
-exposes everything through a reproducible CLI (:mod:`gpas.cli`).
+power it (:mod:`gpas.numerics`), draws Poisson counts from descents over
+nested Gibbs families for ratio estimation (:mod:`gpas.tpa`), validates the
+whole stack against an exactly enumerable Ising model (:mod:`gpas.ising`),
+and exposes everything through a reproducible CLI (:mod:`gpas.cli`).
 """
 
 from .core import (
     Calibration,
     ConfidenceInterval,
+    DEFAULT_K_CAP,
     DEFAULT_SOURCE_BUDGET,
     GpasResult,
     PoissonSource,
@@ -49,7 +50,6 @@ from .numerics import (
 )
 from .tpa import (
     NestedGibbsFamily,
-    TpaPoissonSource,
     TpaReport,
     phase2_epsilon,
     relative_error_transfer,
@@ -65,6 +65,7 @@ __all__ = [
     "Calibration",
     "CalibrationError",
     "ConfidenceInterval",
+    "DEFAULT_K_CAP",
     "DEFAULT_SOURCE_BUDGET",
     "ENUMERATION_LIMIT",
     "GpasError",
@@ -78,7 +79,6 @@ __all__ = [
     "RngStream",
     "SizeExceededError",
     "SyntheticPoissonSource",
-    "TpaPoissonSource",
     "TpaReport",
     "build_histogram",
     "calibrate",

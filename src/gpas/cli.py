@@ -29,6 +29,8 @@ import click
 import numpy as np
 
 from .core import (
+    DEFAULT_K_CAP,
+    DEFAULT_SOURCE_BUDGET,
     SyntheticPoissonSource,
     calibrate,
     confidence_interval,
@@ -148,7 +150,7 @@ def main() -> None:
 @_epsilon_option
 @_delta_option
 @click.option(
-    "--k-cap", type=click.IntRange(min=3), default=10_000_000, show_default=True,
+    "--k-cap", type=click.IntRange(min=3), default=DEFAULT_K_CAP, show_default=True,
     help="Abort the index search above this k.",
 )
 @_format_option
@@ -178,7 +180,8 @@ def cmd_calibrate(epsilon, delta, k_cap, output_format, output_path) -> None:
 @_delta_option
 @_seed_option
 @click.option(
-    "--max-calls", type=click.IntRange(min=1), default=1_000_000, show_default=True,
+    "--max-calls", type=click.IntRange(min=1), default=DEFAULT_SOURCE_BUDGET,
+    show_default=True,
     help="Draw budget of the synthetic source.",
 )
 @_format_option
@@ -282,7 +285,7 @@ def _single_run_fields(report, z_inner: float, delta: float) -> dict:
     help="Independent repetitions of the whole scheme.",
 )
 @click.option(
-    "--max-tpa-calls", type=click.IntRange(min=1), default=1_000_000,
+    "--max-tpa-calls", type=click.IntRange(min=1), default=DEFAULT_SOURCE_BUDGET,
     show_default=True, help="Per-phase descent budget.",
 )
 @_format_option

@@ -22,15 +22,17 @@ mu / sqrt(k - 2).  Three consequences are implemented here:
 * ``confidence_interval`` turns one run into an interval with exact
   coverage by dividing Gamma quantiles by T'.
 
-The expected number of counts consumed by a run is at most 1 + k / mu.
+The counts come from a :class:`PoissonSource`: a zero-argument ``draw``
+callable with a draw budget.  The expected number of counts consumed by a
+run is at most 1 + k / mu.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -47,6 +49,7 @@ from .numerics import (
 )
 
 __all__ = [
+    "DEFAULT_K_CAP",
     "DEFAULT_SOURCE_BUDGET",
     "PoissonSource",
     "SyntheticPoissonSource",
@@ -61,41 +64,41 @@ __all__ = [
 ]
 
 DEFAULT_SOURCE_BUDGET = 1_000_000
+# Largest arrival index calibrate searches up to unless told otherwise.
+DEFAULT_K_CAP = 10_000_000
 
 # Tolerance for the monotonicity assertion during calibration search; float
 # noise between nearly equal failure probabilities must not trip it.
 _MONOTONE_SLACK = 1e-12
 
 
-class PoissonSource(ABC):
+class PoissonSource:
     """Stream of iid nonnegative integer counts with a common unknown mean.
 
-    Implementors supply :meth:`_draw`.  The base class holds the
-    ``max_calls`` budget, which every source has, and ``call_count``, the
-    counts drawn so far; :func:`gpas`, the only consumer, charges both.  The
-    budget is the guard against a mean of (nearly) zero, where a sequential
-    stopping rule would never accumulate enough arrivals to terminate.
+    ``draw`` is a zero-argument callable that returns the next count.  The
+    source adds the ``max_calls`` budget and ``call_count``, the counts
+    drawn so far; :func:`gpas`, the only consumer, calls ``draw``, checks
+    the budget before each count and charges ``call_count`` when it stops.
+    The budget is the guard against a mean of (nearly) zero, where a
+    sequential stopping rule would never accumulate enough arrivals to
+    terminate.
 
     A source is single-owner state: one estimator run at a time.
     """
 
-    def __init__(self, max_calls: int = DEFAULT_SOURCE_BUDGET) -> None:
+    def __init__(self, draw: Callable[[], int], max_calls: int = DEFAULT_SOURCE_BUDGET) -> None:
         if not isinstance(max_calls, (int, np.integer)) or max_calls < 1:
             raise ValueError(f"max_calls must be a positive integer, got {max_calls!r}")
+        self.draw = draw
         self.max_calls = max_calls
         self.call_count = 0
 
-    @abstractmethod
-    def _draw(self) -> int:
-        """Produce one count.
-
-        Called only by :func:`gpas`, which checks the budget before each
-        draw and adds the counts it drew to ``call_count`` when it stops.
-        """
-
 
 class SyntheticPoissonSource(PoissonSource):
-    """Source of exact Poisson(mu) counts from a caller-owned stream."""
+    """Source of exact Poisson(mu) counts from a caller-owned stream.
+
+    ``draw`` is ``sample_poisson`` bound to the stream and mu.
+    """
 
     def __init__(
         self,
@@ -105,12 +108,8 @@ class SyntheticPoissonSource(PoissonSource):
     ) -> None:
         if not (math.isfinite(mu) and mu >= 0.0):
             raise ValueError(f"mu must be a nonnegative finite real, got {mu!r}")
-        super().__init__(max_calls=max_calls)
+        super().__init__(partial(sample_poisson, rng, mu), max_calls=max_calls)
         self.mu = mu
-        self._rng = rng
-
-    def _draw(self) -> int:
-        return sample_poisson(self._rng, self.mu)
 
 
 @dataclass(frozen=True)
@@ -177,9 +176,9 @@ def gpas(source: PoissonSource, k: int, rng: RngStream) -> GpasResult:
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
-    # the loop charges the source's budget itself, so a count costs one
-    # bound-method frame; call_count is settled once, however the run ends
-    draw = source._draw
+    # the loop charges the source's budget itself, so a count costs only the
+    # draw; call_count is settled once, however the run ends
+    draw = source.draw
     remaining = source.max_calls - source.call_count
     arrivals = 0
     intervals = 0
@@ -226,7 +225,7 @@ def failure_probability(k: int, epsilon: float) -> float:
 
 
 @lru_cache(maxsize=2)
-def calibrate(epsilon: float, delta: float, k_cap: int = 10_000_000) -> Calibration:
+def calibrate(epsilon: float, delta: float, k_cap: int = DEFAULT_K_CAP) -> Calibration:
     """Find the minimal k >= 3 whose failure probability is at most delta.
 
     mu * T' ~ Gamma(k, 1), so by the central limit theorem the minimal k is
@@ -248,7 +247,8 @@ def calibrate(epsilon: float, delta: float, k_cap: int = 10_000_000) -> Calibrat
     one run to the next.  ``calibrate.cache_clear()`` empties the cache.
 
     Raises:
-        ValueError: on parameters outside (0, 1).
+        ValueError: on parameters outside (0, 1), or a k_cap that is not
+            an integer >= 3.
         CalibrationError: if no k <= k_cap suffices, or monotonicity fails.
             The upward bracket is not capped; once its lower end reaches
             k_cap the search stops, and otherwise the error names the
@@ -258,8 +258,8 @@ def calibrate(epsilon: float, delta: float, k_cap: int = 10_000_000) -> Calibrat
         raise ValueError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
-    if k_cap < 3:
-        raise ValueError(f"k_cap must be at least 3, got {k_cap!r}")
+    if not isinstance(k_cap, (int, np.integer)) or k_cap < 3:
+        raise ValueError(f"k_cap must be an integer >= 3, got {k_cap!r}")
 
     probes: dict[int, float] = {}
 

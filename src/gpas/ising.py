@@ -124,8 +124,10 @@ class LatticeGraph:
     @classmethod
     def grid(cls, width: int, height: int) -> "LatticeGraph":
         """4-neighbor width x height lattice with free boundary."""
-        if width < 1 or height < 1:
-            raise ValueError(f"grid dimensions must be positive, got {width}x{height}")
+        for name, side in (("width", width), ("height", height)):
+            if not isinstance(side, (int, np.integer)) or side < 1:
+                raise ValueError(f"grid {name} must be a positive integer, got {side!r}")
+        _check_vertex_count(width * height)  # before building the edge list
         edges: list[tuple[int, int]] = []
         for row in range(height):
             for col in range(width):

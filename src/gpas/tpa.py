@@ -10,8 +10,9 @@ above ``beta_inner`` is exactly Poisson with mean
 
     r = ln( Z(beta_outer) / Z(beta_inner) ).
 
-That makes a descent a drop-in count source for the exact Poisson-mean
-machinery in :mod:`gpas.core`.  :func:`two_phase_scheme` composes the two: a
+That makes a descent a drop-in count: ``PoissonSource(partial(tpa_run,
+family, rng))`` feeds the exact Poisson-mean machinery in :mod:`gpas.core`
+one descent per count.  :func:`two_phase_scheme` composes the two: a
 first phase pins r roughly, a second phase re-estimates it at the precision
 needed so that exp(r_hat) lands within a factor (1 +- epsilon) of the true
 ratio; by the union bound both phases succeed with probability at least
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .core import (
@@ -37,7 +39,6 @@ from .numerics import RngStream
 
 __all__ = [
     "NestedGibbsFamily",
-    "TpaPoissonSource",
     "TpaReport",
     "tpa_run",
     "relative_error_transfer",
@@ -118,23 +119,6 @@ def tpa_run(family: NestedGibbsFamily, rng: RngStream) -> int:
     else:
         raise IterationCapError(f"descent did not finish within {DEFAULT_STEP_CAP} steps")
     return count
-
-
-class TpaPoissonSource(PoissonSource):
-    """Adapter: one descent per count, making the family a Poisson source."""
-
-    def __init__(
-        self,
-        family: NestedGibbsFamily,
-        rng: RngStream,
-        max_calls: int = DEFAULT_SOURCE_BUDGET,
-    ) -> None:
-        super().__init__(max_calls=max_calls)
-        self.family = family
-        self._rng = rng
-
-    def _draw(self) -> int:
-        return tpa_run(self.family, self._rng)
 
 
 @dataclass(frozen=True)
@@ -239,6 +223,7 @@ def two_phase_scheme(
     """Two-phase ratio approximation driven by descents on ``family``."""
 
     def make_source() -> PoissonSource:
-        return TpaPoissonSource(family, rng, max_calls=max_calls)
+        # one descent per count
+        return PoissonSource(partial(tpa_run, family, rng), max_calls=max_calls)
 
     return two_phase_from_source(make_source, epsilon, delta, rng)

@@ -21,7 +21,7 @@ from gpas.core import (
     gpas,
 )
 from gpas.errors import BudgetExceededError, CalibrationError
-from gpas.numerics import RngStream, reg_lower_gamma
+from gpas.numerics import RngStream, reg_lower_gamma, sample_poisson
 from gpas.validation import (
     check_coverage,
     check_distribution_law,
@@ -44,15 +44,9 @@ GOLDEN_EXACT_GPAS = GpasResult(
 )
 
 
-class ScriptedSource(PoissonSource):
+def scripted_source(counts):
     """Replays a fixed count sequence; for exercising the loop mechanics."""
-
-    def __init__(self, counts):
-        super().__init__()
-        self._counts = list(counts)
-
-    def _draw(self):
-        return self._counts.pop(0)
+    return PoissonSource(iter(counts).__next__)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +57,7 @@ class ScriptedSource(PoissonSource):
 def test_gpas_first_interval_success():
     # first count is 5 with k=2: the run ends inside interval 0, so T' is a
     # Beta(2, 4) draw in (0, 1) and mu_hat = 1/T' > 1
-    result = gpas(ScriptedSource([5]), 2, RngStream(SEED))
+    result = gpas(scripted_source([5]), 2, RngStream(SEED))
     assert result.draws_used == 1
     assert 0.0 < result.t_prime < 1.0
     assert result.mu_hat == 1.0 / result.t_prime
@@ -73,7 +67,7 @@ def test_gpas_first_interval_success():
 def test_gpas_later_interval_uses_pre_increment_position():
     # counts 0, 1, 3 with k=3: the third point arrives in the third interval,
     # so T' lands in (2, 3) and three draws were consumed
-    result = gpas(ScriptedSource([0, 1, 3]), 3, RngStream(SEED))
+    result = gpas(scripted_source([0, 1, 3]), 3, RngStream(SEED))
     assert result.draws_used == 3
     assert 2.0 < result.t_prime < 3.0
 
@@ -89,21 +83,21 @@ def test_gpas_result_identities():
 
 def test_gpas_rejects_k_below_two():
     with pytest.raises(ValueError):
-        gpas(ScriptedSource([5]), 1, RngStream(SEED))
+        gpas(scripted_source([5]), 1, RngStream(SEED))
 
 
 @pytest.mark.parametrize("k", [50.5, 3.0, "3"])
 def test_gpas_rejects_non_integer_k_up_front(k):
     # before any count is drawn, not deep inside the Beta sampler
-    source = ScriptedSource([5])
+    source = scripted_source([5])
     with pytest.raises(ValueError, match="k must be an integer >= 2"):
         gpas(source, k, RngStream(SEED))
     assert source.call_count == 0
 
 
 def test_gpas_accepts_numpy_integer_k():
-    expected = gpas(ScriptedSource([0, 1, 3]), 3, RngStream(SEED))
-    assert gpas(ScriptedSource([0, 1, 3]), np.int64(3), RngStream(SEED)) == expected
+    expected = gpas(scripted_source([0, 1, 3]), 3, RngStream(SEED))
+    assert gpas(scripted_source([0, 1, 3]), np.int64(3), RngStream(SEED)) == expected
 
 
 def test_gpas_budget_guards_zero_mean():
@@ -117,7 +111,7 @@ def test_gpas_budget_guards_zero_mean():
 def test_source_call_count_increments_by_one():
     # gpas charges one call per count it draws, and a second run on the same
     # source adds to the first: counts 3 | 0, 7
-    source = ScriptedSource([3, 0, 7])
+    source = scripted_source([3, 0, 7])
     assert source.call_count == 0
     assert gpas(source, 2, RngStream(SEED)).draws_used == 1
     assert source.call_count == 1
@@ -139,13 +133,15 @@ def test_gpas_budget_spans_runs():
 def test_gpas_charges_what_it_drew_when_the_source_fails():
     # a count source that raises mid-run (a descent past its step cap, say)
     # leaves call_count at the counts drawn before it
-    class FailingSource(ScriptedSource):
-        def _draw(self):
-            if not self._counts:
-                raise RuntimeError("source failed")
-            return super()._draw()
+    counts = iter([0, 1, 0])
 
-    source = FailingSource([0, 1, 0])
+    def draw():
+        count = next(counts, None)
+        if count is None:
+            raise RuntimeError("source failed")
+        return count
+
+    source = PoissonSource(draw)
     with pytest.raises(RuntimeError, match="source failed"):
         gpas(source, 5, RngStream(SEED))
     assert source.call_count == 3
@@ -164,6 +160,30 @@ def test_source_accepts_numpy_integer_budget():
     with pytest.raises(BudgetExceededError, match="budget of 7 draws"):
         gpas(source, 5, rng)
     assert source.call_count == 7
+
+
+def test_synthetic_source_draws_one_poisson_count_per_charged_count(monkeypatch):
+    # each count gpas charges is one call of core's sample_poisson, looked up
+    # when the source is built; the counts and the estimate are unchanged
+    import gpas.core as core_module
+
+    def run():
+        rng = RngStream(SEED, 7)
+        source = SyntheticPoissonSource(3.0, rng)
+        return exact_gpas(source, 0.2, 0.1, rng), source.call_count
+
+    expected = run()
+    calls = []
+
+    def counted(rng, mu):
+        calls.append(mu)
+        return sample_poisson(rng, mu)
+
+    monkeypatch.setattr(core_module, "sample_poisson", counted)
+    result, charged = run()
+    assert (result, charged) == expected
+    assert len(calls) == charged == result.draws_used
+    assert set(calls) == {3.0}
 
 
 def test_gpas_deterministic_under_fixed_seed():
@@ -387,6 +407,18 @@ def test_calibrate_search_cap():
     with pytest.raises(CalibrationError, match="2561, above k_cap=2560"):
         calibrate(0.1, 1e-6, k_cap=2560)
     assert calibrate(0.1, 1e-6, k_cap=2561).k == 2561
+    # a numpy integer cap acts as the same int
+    with pytest.raises(CalibrationError, match="2561, above k_cap=2560"):
+        calibrate(0.1, 1e-6, k_cap=np.int64(2560))
+    assert calibrate(0.1, 1e-6, k_cap=np.int64(2561)).k == 2561
+
+
+@pytest.mark.parametrize("k_cap", [100.5, 1e7, 3.0, "10", 2, np.int64(2)])
+def test_calibrate_rejects_non_integer_or_small_k_cap(k_cap):
+    # a float cap would otherwise fail deep inside the search, or pass
+    # unchecked when the search never reaches it
+    with pytest.raises(ValueError, match="k_cap must be an integer >= 3"):
+        calibrate(0.2, 0.01, k_cap=k_cap)
 
 
 @pytest.fixture

@@ -86,13 +86,31 @@ def test_grid_edge_count_formula(width, height):
 
 
 def test_grid_rejects_nonpositive_dimensions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid width must be a positive integer"):
         LatticeGraph.grid(0, 3)
+    with pytest.raises(ValueError, match="grid height must be a positive integer"):
+        LatticeGraph.grid(3, -1)
+
+
+@pytest.mark.parametrize(
+    "width,height,name",
+    [(2.0, 2, "width"), ("2", 2, "width"), (2, 1.5, "height"), (2, None, "height")],
+)
+def test_grid_rejects_non_integer_dimensions_by_name(width, height, name):
+    with pytest.raises(ValueError, match=f"grid {name} must be a positive integer"):
+        LatticeGraph.grid(width, height)
+
+
+def test_grid_accepts_numpy_integer_dimensions():
+    assert LatticeGraph.grid(np.int64(2), np.int32(3)) == LatticeGraph.grid(2, 3)
 
 
 def test_vertex_budget_enforced():
     with pytest.raises(SizeExceededError):
         LatticeGraph.grid(5, 5)
+    # checked before any edge is listed
+    with pytest.raises(SizeExceededError):
+        LatticeGraph.grid(10**6, 10**6)
     assert LatticeGraph.grid(4, 6).vertex_count == ENUMERATION_LIMIT
 
 

@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 
 from gpas import tpa
-from gpas.core import SyntheticPoissonSource, gpas
+from gpas.core import PoissonSource, SyntheticPoissonSource, gpas
 from gpas.errors import BudgetExceededError, IterationCapError
 from gpas.ising import IsingGibbsFamily, LatticeGraph, build_histogram
 from gpas.numerics import RngStream
 from gpas.tpa import (
     NestedGibbsFamily,
-    TpaPoissonSource,
     phase2_epsilon,
     relative_error_transfer,
     tpa_run,
     two_phase_from_source,
+    two_phase_scheme,
 )
 from gpas.validation import (
     poisson_chi_square_pvalue,
@@ -143,11 +143,32 @@ def test_tpa_source_counts_calls(monkeypatch):
 
     monkeypatch.setattr(tpa, "tpa_run", counted)
     rng = RngStream(SEED, 2)
-    source = TpaPoissonSource(ConstantHamiltonianFamily(h=2.0), rng)
+    source = PoissonSource(partial(tpa.tpa_run, ConstantHamiltonianFamily(h=2.0), rng))
     first = gpas(source, 30, rng)
     assert source.call_count == first.draws_used == len(descents)
     second = gpas(source, 30, rng)
     assert source.call_count == first.draws_used + second.draws_used == len(descents)
+
+
+def test_two_phase_scheme_runs_one_descent_per_charged_count(monkeypatch):
+    # over both phases on the 2x2 grid, the descents equal the calls charged,
+    # and counting them changes nothing
+    family = IsingGibbsFamily(build_histogram(LatticeGraph.grid(2, 2)))
+
+    def run():
+        return two_phase_scheme(family, 0.2, 0.1, RngStream(SEED, 8))
+
+    expected = run()
+    descents = []
+
+    def counted(family, rng):
+        descents.append(1)
+        return tpa_run(family, rng)
+
+    monkeypatch.setattr(tpa, "tpa_run", counted)
+    report = run()
+    assert report == expected
+    assert len(descents) == report.total_tpa_calls > 0
 
 
 # ---------------------------------------------------------------------------
