@@ -423,9 +423,10 @@ def test_calibrate_rejects_non_integer_or_small_k_cap(k_cap):
 
 @pytest.fixture
 def uncached_calibrate():
-    # calibrate memoizes its last two calibrations: a test that swaps
-    # failure_probability must neither read one made before the swap nor
-    # leave one made with it
+    # calibrate memoizes its last two calibrations and remembers the offset
+    # of the last one it computed, and cache_clear forgets both: a test that
+    # swaps failure_probability must neither read a calibration, nor start
+    # from an offset, made before the swap, nor leave one made with it
     calibrate.cache_clear()
     yield
     calibrate.cache_clear()
@@ -445,6 +446,29 @@ def test_calibrate_detects_non_monotone_failure_probability(monkeypatch, uncache
     def warped(k, epsilon):
         base = failure_probability(k, epsilon)
         return delta + 0.01 * (base - delta) if k == guess else base
+
+    monkeypatch.setattr(core_module, "failure_probability", warped)
+    with pytest.raises(CalibrationError, match="not monotone"):
+        core_module.calibrate(epsilon, delta)
+
+
+def test_calibrate_detects_non_monotone_failure_probability_at_remembered_start(
+    monkeypatch, uncached_calibrate
+):
+    # the same dip, now at the start a remembered offset gives: at delta
+    # 0.0018 the offset is 18.9 at eps 0.45, so the search at eps 0.1 starts
+    # at 994, five below the minimal k of 999, and climbs by 1, 2, 4, ...
+    import gpas.core as core_module
+
+    epsilon, delta = 0.1, 0.0018
+    far = calibrate(0.45, delta)
+    guess = lambda eps: (ndtri(0.5 * delta) / eps) ** 2
+    start = math.ceil(guess(epsilon) + far.k - guess(0.45))
+    assert start == 994
+
+    def warped(k, epsilon):
+        base = failure_probability(k, epsilon)
+        return delta + 0.01 * (base - delta) if k == start else base
 
     monkeypatch.setattr(core_module, "failure_probability", warped)
     with pytest.raises(CalibrationError, match="not monotone"):
@@ -520,6 +544,50 @@ def test_calibrate_matches_doubling_search_in_a_dozen_probes(
         assert (cal.k, cal.p, cal.f_k, cal.f_km1) == _doubling_calibrate(epsilon, delta)
     assert np.median(probe_counts[:1500]) <= 13
     assert max(probe_counts) <= 18
+
+
+def test_calibrate_from_remembered_offset_matches_fresh_search(monkeypatch, uncached_calibrate):
+    # phase 2 calibrates at delta / 2 = 0.005 and eps2 = ln(1.2) 0.8 / r_hat1,
+    # once per replicate; starting from the last offset at that delta must
+    # change the probe count and nothing else, also right after a far eps
+    # and after a floor-corner calibration (k = 3) at the same delta
+    import gpas.core as core_module
+
+    eps2 = [math.log(1.2) * 0.8 / r_hat1 for r_hat1 in np.linspace(10.0, 25.0, 60)]
+    sequence = [(eps, 0.005) for eps in eps2]
+    sequence += [(0.45, 0.005), (eps2[0], 0.005), (eps2[15], 0.005), (0.45, 0.005)]
+    sequence += [(eps2[-1], 0.005), (0.9, 0.9), (0.0146, 0.9), (0.05, 0.9), (0.9, 0.9)]
+    sequence += [(0.3, 0.9), (eps2[30], 0.005)]
+    fresh = {}
+    for epsilon, delta in sequence:
+        calibrate.cache_clear()
+        cal = calibrate(epsilon, delta)
+        fresh[epsilon, delta] = (cal.k, cal.p, cal.f_k, cal.f_km1)
+    assert fresh[0.9, 0.9][0] == 3
+
+    probed = []  # the indices each calibration probed, in order
+
+    def recorded(k, epsilon):
+        probed[-1].append(k)
+        return failure_probability(k, epsilon)
+
+    monkeypatch.setattr(core_module, "failure_probability", recorded)
+    calibrate.cache_clear()
+    for epsilon, delta in sequence:
+        probed.append([])
+        cal = core_module.calibrate(epsilon, delta)
+        assert (cal.k, cal.p, cal.f_k, cal.f_km1) == fresh[epsilon, delta], (epsilon, delta)
+    probe_counts = [len(ks) for ks in probed]
+    # no input repeats within two calls, so every calibration was computed
+    assert min(probe_counts) >= 1
+    assert np.median(probe_counts[1:60]) <= 4
+
+    # cache_clear forgets the offset: the next search starts at the normal
+    # guess again, not 14 above it
+    calibrate.cache_clear()
+    probed.append([])
+    core_module.calibrate(eps2[30], 0.005)
+    assert probed[-1][0] == math.ceil((ndtri(0.0025) / eps2[30]) ** 2)
 
 
 # the calibrate-ci domain, log-uniform, and the whole domain up to 0.99
