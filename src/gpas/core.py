@@ -171,7 +171,8 @@ def gpas(source: PoissonSource, k: int, rng: RngStream) -> GpasResult:
     and scale ``(k - 1) mu``; the expected number of draws is at most
     1 + k / mu.  The run charges the source: it draws at most
     ``max_calls - call_count`` counts and adds the number drawn to
-    ``call_count``, also when it raises.
+    ``call_count``, also when it raises; a draw that raises is not charged,
+    and a spent budget raises before drawing again.
 
     Raises:
         ValueError: if ``k`` is not an integer >= 2 (the estimate's mean
@@ -180,32 +181,34 @@ def gpas(source: PoissonSource, k: int, rng: RngStream) -> GpasResult:
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
-    # the loop charges the source's budget itself, so a count costs only the
-    # draw; call_count is settled once, however the run ends
+    # the budget bounds the loop, so a count costs only the draw, a sum and
+    # one test; call_count is settled once, however the run ends
     draw = source.draw
-    remaining = source.max_calls - source.call_count
+    remaining = max(0, source.max_calls - source.call_count)
     arrivals = 0
-    intervals = 0
-    t_prime = -1.0
+    drawn = 0  # counts drawn so far; a draw that raises is not among them
     try:
-        while arrivals < k:
-            if intervals >= remaining:
-                raise BudgetExceededError(
-                    f"count source exhausted its budget of {source.max_calls} draws "
-                    "(is the mean 0, or the budget too small?)"
-                )
+        for drawn in range(remaining):
             count = draw()
-            if arrivals + count >= k:
-                within = k - arrivals  # rank of the k-th point in this interval
-                a, b = within, count - within + 1
-                assert a >= 1 and b >= 1, "beta parameters must be >= 1 by construction"
-                t_prime = intervals + sample_beta(rng, a, b)
             arrivals += count
-            intervals += 1
+            if arrivals >= k:
+                break
+        else:
+            drawn = remaining
+            raise BudgetExceededError(
+                f"count source exhausted its budget of {source.max_calls} draws "
+                "(is the mean 0, or the budget too small?)"
+            )
+        drawn += 1
     finally:
-        source.call_count += intervals
+        source.call_count += drawn
+    # the k-th point is the within-th of the last interval's count points
+    within = k - (arrivals - count)
+    a, b = within, count - within + 1
+    assert a >= 1 and b >= 1, "beta parameters must be >= 1 by construction"
+    t_prime = drawn - 1 + sample_beta(rng, a, b)
     mu_hat = (k - 1) / t_prime
-    return GpasResult(k=k, t_prime=t_prime, mu_hat=mu_hat, draws_used=intervals)
+    return GpasResult(k=k, t_prime=t_prime, mu_hat=mu_hat, draws_used=drawn)
 
 
 def failure_probability(k: int, epsilon: float) -> float:
@@ -242,10 +245,15 @@ def calibrate(epsilon: float, delta: float, k_cap: int = DEFAULT_K_CAP) -> Calib
     The offset k - g of the last calibration computed is remembered with its
     delta.  At a fixed delta it barely moves with eps (between 13.4 and 14.5
     at delta = 0.005 for eps from 0.005 to 0.2), so a later calibration at
-    the same delta starts at max(3, ceil(g + offset)) with a first step of
-    1, if g + offset is below k_cap: about 3 probes for each of phase 2's
-    calibrations, which share delta / 2.  Either start changes which indices
-    are probed, never the k, p or tail values found.
+    the same delta starts at max(3, ceil(g + offset) - 1) with a first step
+    of 1, if g + offset is below k_cap.  The offset already holds the last
+    search's rounding up to an integer k, so while the real crossing stays
+    the same distance above g, ceil(g + offset) is the minimal k or one
+    above it, and the start one below is k - 1 or k: the search brackets
+    the crossing with its second probe and probes only the two tails that p
+    needs.  That makes two probes for each of phase 2's calibrations, which
+    share delta / 2.  Either start changes which indices are probed, never
+    the k, p or tail values found.
 
     The failure probability is nonincreasing in k over any sensible range;
     monotonicity is asserted over every probed index rather than assumed
@@ -287,7 +295,7 @@ def calibrate(epsilon: float, delta: float, k_cap: int = DEFAULT_K_CAP) -> Calib
     guess = (float(ndtri(0.5 * delta)) / epsilon) ** 2
     offset = _last_offset.get(delta)
     if offset is not None and guess + offset < k_cap:
-        start = max(3, math.ceil(guess + offset))
+        start = max(3, math.ceil(guess + offset) - 1)
         step = 1
     else:
         start = max(3, math.ceil(guess)) if guess < k_cap else k_cap

@@ -34,6 +34,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import floor, isfinite
+from types import MethodType
 
 import numpy as np
 
@@ -410,5 +411,13 @@ class IsingGibbsFamily(NestedGibbsFamily):
     beta_outer: float = 1.0
     beta_inner: float = 0.0
 
-    def sample_hamiltonian(self, beta: float, rng: RngStream) -> int:
-        return sample_hamiltonian(self.histogram, beta, rng)
+    @property
+    def sample_hamiltonian(self) -> MethodType:
+        """The module's :func:`sample_hamiltonian` bound to the histogram.
+
+        Called as ``(beta, rng)``, it returns the int level.  Bound rather
+        than forwarded, a draw costs no extra Python frame; the module
+        global is read on each access, so a replacement of it (a tracer's
+        wrapper, say) is what a descent binds.
+        """
+        return MethodType(sample_hamiltonian, self.histogram)

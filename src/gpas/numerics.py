@@ -222,7 +222,7 @@ _BUFFER_SCHEDULE = (64, 256, 1024, 4096, 16384)
 # at this counter, 2^255 blocks past the stream's start, so the two never
 # meet.
 _COUNT_BLOCK_FIRST = 64
-_COUNT_BLOCK_CAP = 16384
+_COUNT_BLOCK_CAP = 1024
 _COUNT_COUNTER = (0, 0, 0, 2**63)
 
 
@@ -242,8 +242,11 @@ class RngStream:
     generator with the same key, started at counter ``(0, 0, 0, 2^63)``
     and created by the first count, so a stream that draws none (a
     descent's) never builds it.  :func:`sample_poisson` pops counts of one
-    mean from a buffer that it refills in blocks doubling from 64 to 16384;
+    mean from a buffer that it refills in blocks doubling from 64 to 1024;
     a call with another mean discards the buffered counts and restarts at 64.
+    A run that stops drawing leaves fewer than 1024 counts unused; at that
+    size numpy's per-call overhead is already a small share of a block, so a
+    larger cap would save little and throw more drawn counts away.
     numpy's Poisson draws of one mean in blocks of a and b equal one block
     of a + b, and no other draw touches the substream, so the counts of a
     run at one mean are one fixed sequence: they do not depend on the block

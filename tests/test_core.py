@@ -29,6 +29,7 @@ from gpas.validation import (
     check_scale_free_error,
     check_unbiasedness,
     replicate_gpas,
+    replicate_two_phase,
 )
 
 SEED = 202
@@ -128,6 +129,32 @@ def test_gpas_budget_spans_runs():
         with pytest.raises(BudgetExceededError, match="budget of 10 draws"):
             gpas(source, 5, rng)
         assert source.call_count == 10
+
+
+@pytest.mark.parametrize("counts,k", [([5], 2), ([0, 1, 3], 3), ([2, 0, 0, 1, 4], 4)])
+def test_gpas_budget_boundary(counts, k):
+    # a budget of exactly the counts the run needs suffices and is charged in
+    # full; with one count less left the run draws what is left and raises
+    # before the count that would have ended it
+    needed = len(counts)
+    source = scripted_source(counts)
+    source.max_calls = needed
+    result = gpas(source, k, RngStream(SEED))
+    assert result.draws_used == source.call_count == needed
+    assert needed - 1 < result.t_prime < needed
+
+    drawn = []
+
+    def draw():
+        drawn.append(counts[len(drawn)])
+        return drawn[-1]
+
+    short = PoissonSource(draw, max_calls=needed)
+    short.call_count = 1  # an earlier run's count
+    with pytest.raises(BudgetExceededError, match=f"budget of {needed} draws"):
+        gpas(short, k, RngStream(SEED))
+    assert short.call_count == needed
+    assert drawn == counts[:-1]
 
 
 def test_gpas_charges_what_it_drew_when_the_source_fails():
@@ -457,14 +484,16 @@ def test_calibrate_detects_non_monotone_failure_probability_at_remembered_start(
 ):
     # the same dip, now at the start a remembered offset gives: at delta
     # 0.0018 the offset is 18.9 at eps 0.45, so the search at eps 0.1 starts
-    # at 994, five below the minimal k of 999, and climbs by 1, 2, 4, ...
+    # one below ceil(guess + offset), at 993, six below the minimal k of
+    # 999, and climbs by 1, 2, 4, ...; no other probe of the search lands
+    # on 993, so the error shows the search started there
     import gpas.core as core_module
 
     epsilon, delta = 0.1, 0.0018
     far = calibrate(0.45, delta)
     guess = lambda eps: (ndtri(0.5 * delta) / eps) ** 2
-    start = math.ceil(guess(epsilon) + far.k - guess(0.45))
-    assert start == 994
+    start = math.ceil(guess(epsilon) + far.k - guess(0.45)) - 1
+    assert start == 993
 
     def warped(k, epsilon):
         base = failure_probability(k, epsilon)
@@ -580,7 +609,9 @@ def test_calibrate_from_remembered_offset_matches_fresh_search(monkeypatch, unca
     probe_counts = [len(ks) for ks in probed]
     # no input repeats within two calls, so every calibration was computed
     assert min(probe_counts) >= 1
-    assert np.median(probe_counts[1:60]) <= 4
+    # started one below ceil(guess + offset), each search after the first
+    # lands on k - 1 or k, and probes just the two tails p needs
+    assert probe_counts[1:60] == [2] * 59
 
     # cache_clear forgets the offset: the next search starts at the normal
     # guess again, not 14 above it
@@ -588,6 +619,31 @@ def test_calibrate_from_remembered_offset_matches_fresh_search(monkeypatch, unca
     probed.append([])
     core_module.calibrate(eps2[30], 0.005)
     assert probed[-1][0] == math.ceil((ndtri(0.0025) / eps2[30]) ** 2)
+
+
+def test_phase_two_calibrations_probe_twice(monkeypatch, uncached_calibrate):
+    # synthetic two-phase replicates at the synthetic-r15 parameters: each
+    # phase 2 calibration starts from the offset the one before it left at
+    # delta / 2, phase 1's included, and probes failure_probability twice
+    import gpas.core as core_module
+
+    probes = []
+
+    def counted(k, epsilon):
+        probes[-1] += 1
+        return failure_probability(k, epsilon)
+
+    def recorded(epsilon, delta):
+        probes.append(0)
+        cal = calibrate(epsilon, delta)
+        if epsilon == 0.2:
+            probes.pop()  # phase 1, computed by the first replicate only
+        return cal
+
+    monkeypatch.setattr(core_module, "failure_probability", counted)
+    monkeypatch.setattr(core_module, "calibrate", recorded)
+    replicate_two_phase(15.4, 0.2, 0.01, 200, SEED)
+    assert probes == [2] * 200
 
 
 # the calibrate-ci domain, log-uniform, and the whole domain up to 0.99

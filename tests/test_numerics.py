@@ -10,6 +10,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from gpas.numerics import (
+    _COUNT_BLOCK_CAP,
     RngStream,
     _reg_upper_gamma,
     gamma_quantile,
@@ -426,8 +427,9 @@ def _count_substream(seed, stream):
 @pytest.mark.parametrize("mu", [0.3, 2.0, 15.4, 1e4])
 @pytest.mark.parametrize("seed,stream", [(0, 0), (77, 5), (2**64 - 1, 3)])
 def test_poisson_counts_equal_one_substream_draw(seed, stream, mu):
-    # 40000 counts span ten refills (64 doubling to the 16384 cap, then the
-    # cap twice), yet they are one direct draw of 40000 on the substream
+    # 40000 counts span 43 refills (64 doubling up to 512, then the 1024
+    # cap 39 times), yet they are one direct draw of 40000 on the substream
+    assert _COUNT_BLOCK_CAP == 1024
     rng = RngStream(seed, stream)
     got = [sample_poisson(rng, mu) for _ in range(40_000)]
     assert got == _count_substream(seed, stream).poisson(mu, 40_000).tolist()
@@ -488,12 +490,13 @@ def test_poisson_buffer_restarts_small_on_a_new_mean():
     _mixed_draws(rng)
     assert counter.poisson_drawn == 8_000 * 64
     # one mean throughout doubles the blocks to their cap: 1e5 counts take
-    # 64 + 128 + ... + 16384 and then five blocks of 16384, 114,624 in all
+    # 64 + 128 + 256 + 512 and then 97 blocks of 1024, 100,288 in all, so
+    # fewer than one block's worth of counts is drawn and left unused
     rng = RngStream(77, 5)
     rng._count_gen = counter = _CountingGenerator(_count_substream(77, 5))
     for _ in range(100_000):
         sample_poisson(rng, 3.0)
-    assert counter.poisson_drawn < 120_000
+    assert counter.poisson_drawn < 100_000 + 1024
 
 
 @pytest.mark.parametrize("mu", [-1.0, math.nan, math.inf, 1e20])
