@@ -41,6 +41,7 @@ from .ising import (
     sample_hamiltonian,
 )
 from .numerics import (
+    POISSON_MEAN_MAX,
     RngStream,
     gamma_quantile,
     reg_lower_gamma,
@@ -75,6 +76,7 @@ __all__ = [
     "IterationCapError",
     "LatticeGraph",
     "NestedGibbsFamily",
+    "POISSON_MEAN_MAX",
     "PoissonSource",
     "RngStream",
     "SizeExceededError",

@@ -49,7 +49,7 @@ from .ising import (
     log_partition_function,
     partition_function,
 )
-from .numerics import RngStream
+from .numerics import POISSON_MEAN_MAX, RngStream
 from .tpa import two_phase_scheme
 from .validation import replicate, replicate_two_phase, run_all
 
@@ -75,6 +75,10 @@ def _finite_mean(positive: bool):
         if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
             sign = "positive" if positive else "nonnegative"
             raise click.BadParameter(f"mu must be a {sign} finite real, got {value}")
+        if value > POISSON_MEAN_MAX:
+            raise click.BadParameter(
+                f"mu must be at most {POISSON_MEAN_MAX!r}, numpy's Poisson limit, got {value}"
+            )
         return value
 
     return callback
@@ -89,7 +93,7 @@ _delta_option = click.option(
     help="Target failure probability, in (0, 1).",
 )
 _seed_option = click.option(
-    "--seed", type=click.IntRange(min=0), default=0, show_default=True,
+    "--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True,
     envvar=SEED_ENV_VAR,
     help=f"Base RNG seed (env override: {SEED_ENV_VAR}).",
 )

@@ -39,6 +39,7 @@ from scipy.special import ndtri
 
 from .errors import BudgetExceededError, CalibrationError
 from .numerics import (
+    POISSON_MEAN_MAX,
     RngStream,
     _reg_upper_gamma,
     gamma_quantile,
@@ -101,7 +102,9 @@ class PoissonSource:
 class SyntheticPoissonSource(PoissonSource):
     """Source of exact Poisson(mu) counts from a caller-owned stream.
 
-    ``draw`` is ``sample_poisson`` bound to the stream and mu.
+    ``draw`` is ``sample_poisson`` bound to the stream and mu.  A mean above
+    :data:`~gpas.numerics.POISSON_MEAN_MAX`, which numpy cannot draw from,
+    is rejected here rather than at the first draw.
     """
 
     def __init__(
@@ -112,6 +115,10 @@ class SyntheticPoissonSource(PoissonSource):
     ) -> None:
         if not (math.isfinite(mu) and mu >= 0.0):
             raise ValueError(f"mu must be a nonnegative finite real, got {mu!r}")
+        if mu > POISSON_MEAN_MAX:
+            raise ValueError(
+                f"mu must be at most {POISSON_MEAN_MAX!r}, numpy's Poisson limit, got {mu!r}"
+            )
         super().__init__(partial(sample_poisson, rng, mu), max_calls=max_calls)
         self.mu = mu
 
@@ -393,6 +400,6 @@ def confidence_interval(result: GpasResult, coverage: float) -> ConfidenceInterv
     if not (0.0 < coverage < 1.0):
         raise ValueError(f"coverage must lie strictly inside (0, 1), got {coverage!r}")
     tail = 0.5 * (1.0 - coverage)
-    lower = gamma_quantile(result.k, 1.0, tail) / result.t_prime
-    upper = gamma_quantile(result.k, 1.0, 1.0 - tail) / result.t_prime
+    lower = gamma_quantile(result.k, tail) / result.t_prime
+    upper = gamma_quantile(result.k, 1.0 - tail) / result.t_prime
     return ConfidenceInterval(lower=lower, upper=upper, coverage=coverage)

@@ -24,6 +24,7 @@ import numpy as np
 from scipy import special
 
 __all__ = [
+    "POISSON_MEAN_MAX",
     "RngStream",
     "reg_lower_gamma",
     "gamma_quantile",
@@ -181,32 +182,30 @@ def _upper_continued_fraction(shape: float, x: float) -> float:
     )
 
 
-def gamma_quantile(shape: float, rate: float, q: float) -> float:
-    """Quantile of the Gamma(shape, rate) distribution.
+def gamma_quantile(shape: float, q: float) -> float:
+    """Quantile of the Gamma(shape, 1) distribution.
 
-    Returns ``t`` with ``reg_lower_gamma(shape, rate * t) = q``.  A
-    Gamma(shape, 1) variable is half a chi-square variable with ``2 * shape``
-    degrees of freedom, so ``t`` is Boost's inverse chi-square CDF at ``q``
-    (``scipy.special.chndtrix`` with noncentrality 0) divided by
-    ``2 * rate``.  It stays within about 1e-15 relative of the exact quantile
-    in both deep tails, for shapes from 2 to 1.5e6, at a few microseconds a
-    call, so nothing is cached.
+    Returns ``x`` with ``reg_lower_gamma(shape, x) = q``.  A Gamma(shape, 1)
+    variable is half a chi-square variable with ``2 * shape`` degrees of
+    freedom, so ``x`` is Boost's inverse chi-square CDF at ``q``
+    (``scipy.special.chndtrix`` with noncentrality 0) halved.  It stays
+    within about 1e-15 relative of the exact quantile in both deep tails,
+    for shapes from 2 to 1.5e6, at a few microseconds a call, so nothing is
+    cached.
 
     Raises:
-        ValueError: if ``q`` is outside (0, 1) or a parameter is nonpositive.
+        ValueError: if ``q`` is outside (0, 1) or ``shape`` is nonpositive.
         ArithmeticError: if Boost finds no quantile (it returns NaN for
             shapes of about 1e12 and up).
     """
     if not (math.isfinite(shape) and shape > 0.0):
         raise ValueError(f"shape must be a positive finite real, got {shape!r}")
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ValueError(f"rate must be a positive finite real, got {rate!r}")
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie strictly inside (0, 1), got {q!r}")
     chi_square = float(special.chndtrix(q, 2.0 * shape, 0.0))
     if math.isnan(chi_square):
         raise ArithmeticError(f"no Gamma quantile found for shape={shape}, q={q}")
-    return chi_square / (2.0 * rate)
+    return chi_square / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +223,10 @@ _BUFFER_SCHEDULE = (64, 256, 1024, 4096, 16384)
 _COUNT_BLOCK_FIRST = 64
 _COUNT_BLOCK_CAP = 1024
 _COUNT_COUNTER = (0, 0, 0, 2**63)
+
+# The largest mean numpy's Poisson sampler accepts: int64 max less ten of its
+# square roots, so a count stays in int64.  numpy raises above it.
+POISSON_MEAN_MAX = float(2**63 - 1 - 10 * math.sqrt(2**63 - 1))
 
 
 class RngStream:
@@ -330,7 +333,8 @@ def sample_poisson(rng: RngStream, mu: float) -> int:
     mean are the same sequence whatever the block sizes and whatever other
     draws fall between them.  A call at the buffered mean pops the next
     count, which skips even the argument check (that mean passed it).  The
-    cost does not grow with mu; means above about 9.2e18 raise ValueError.
+    cost does not grow with mu; means above :data:`POISSON_MEAN_MAX` (about
+    9.2e18) raise ValueError.
     """
     if mu == rng._count_mu:
         try:

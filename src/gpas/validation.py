@@ -21,8 +21,11 @@ collect its results with ``np.fromiter``, so no loop keeps one Python object
 per replicate.  The module also holds the fixed-sample Chernoff-calibrated
 baseline used as the comparison arm for call-count benchmarks.
 
-``scipy.stats`` is imported only inside the two checks that use it
-(:func:`poisson_chi_square_pvalue` and :func:`check_scale_free_error`), so
+Each test rule is stated once.  The KS statistics and the chi-square test
+are scipy's; the exactness, coverage and two-phase checks share one
+binomial-frequency rule.  ``scipy.stats`` is imported only inside the three
+checks that use it (:func:`check_distribution_law`,
+:func:`check_scale_free_error` and :func:`poisson_chi_square_pvalue`), so
 importing this module, and through it the CLI, does not pay for loading it.
 """
 
@@ -55,7 +58,6 @@ __all__ = [
     "KS_SIGNIFICANCE",
     "PropertyResult",
     "ks_critical_value",
-    "ks_statistic",
     "poisson_chi_square_pvalue",
     "replicate",
     "replicate_gpas",
@@ -108,27 +110,12 @@ def ks_critical_value(n: int, m: int | None = None) -> float:
     return float(kolmogi(KS_SIGNIFICANCE)) * scale
 
 
-def ks_statistic(
-    sample: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]
-) -> float:
-    """One-sample KS statistic of ``sample`` against the given CDF.
-
-    ``cdf`` is applied once, to the whole sorted sample as a float array,
-    so it must be vectorised (a ufunc or a numpy expression).
-    """
-    ordered = np.sort(np.asarray(sample, dtype=np.float64))
-    n = ordered.size
-    cdf_values = np.asarray(cdf(ordered), dtype=np.float64)
-    above = np.max(np.arange(1, n + 1) / n - cdf_values)
-    below = np.max(cdf_values - np.arange(0, n) / n)
-    return float(max(above, below))
-
-
 def poisson_chi_square_pvalue(counts: Sequence[int], mean: float) -> float:
     """Chi-square goodness-of-fit p-value of integer counts vs Poisson(mean).
 
     Bins are pooled from both ends until every expected count is at least 5;
-    the mean is treated as known, so degrees of freedom are bins - 1.
+    scipy's test of the pooled bins treats the mean as known, so degrees of
+    freedom are bins - 1.
     """
     # imported here: scipy.stats roughly doubles the package's import cost
     from scipy import stats as _stats
@@ -156,11 +143,7 @@ def poisson_chi_square_pvalue(counts: Sequence[int], mean: float) -> float:
         exp_bins[-1] += acc_e
     if len(exp_bins) < 2:
         raise ValueError("not enough occupied bins for a chi-square fit")
-    statistic = float(
-        np.sum((np.array(obs_bins) - np.array(exp_bins)) ** 2 / np.array(exp_bins))
-    )
-    dof = len(exp_bins) - 1
-    return float(_stats.chi2.sf(statistic, dof))
+    return float(_stats.chisquare(obs_bins, exp_bins).pvalue)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +283,43 @@ def _underpowered(name: str, needed: int, got: int) -> PropertyResult:
     )
 
 
+def _binomial_frequency(
+    name: str,
+    target: float,
+    replicates: int,
+    frequency: Callable[[], float],
+    detail: str,
+    one_sided: bool = False,
+) -> PropertyResult:
+    """The rule of every check on the frequency of an event of probability target.
+
+    The check is skipped below max(MIN_REPLICATES, ceil(30 / p)) replicates,
+    p the rarer outcome's probability, so that outcome is expected at least
+    30 times.  Otherwise ``frequency()`` runs the replicates, and its result
+    must lie within 3 binomial sigma of target; one-sided, it must only not
+    exceed target + 3 sigma, which is then the reported threshold.
+    """
+    needed = max(MIN_REPLICATES, math.ceil(30.0 / min(target, 1.0 - target)))
+    if replicates < needed:
+        return _underpowered(name, needed, replicates)
+    observed = frequency()
+    band = 3.0 * math.sqrt(target * (1.0 - target) / replicates)
+    if one_sided:
+        threshold = target + band
+        passed = observed <= threshold
+    else:
+        threshold = band
+        passed = abs(observed - target) <= band
+    return PropertyResult(
+        name=name,
+        passed=passed,
+        skipped=False,
+        statistic=observed,
+        threshold=threshold,
+        detail=detail,
+    )
+
+
 def check_distribution_law(
     replicates: int, seed: int, mu: float = 3.0, k: int = 100
 ) -> PropertyResult:
@@ -308,8 +328,13 @@ def check_distribution_law(
     if replicates < MIN_REPLICATES:
         return _underpowered(name, MIN_REPLICATES, replicates)
     t_primes, _ = replicate_gpas(mu, k, replicates, seed)
+    # imported here: scipy.stats roughly doubles the package's import cost
+    from scipy import stats as _stats
+
     # the Gamma(k, 1) CDF at x is the chi-square(2k) CDF at 2x, from Boost
-    statistic = ks_statistic(mu * t_primes, lambda x: chndtr(2.0 * x, 2.0 * k, 0.0))
+    statistic = float(
+        _stats.kstest(mu * t_primes, lambda x: chndtr(2.0 * x, 2.0 * k, 0.0)).statistic
+    )
     threshold = ks_critical_value(replicates)
     return PropertyResult(
         name=name,
@@ -390,51 +415,34 @@ def check_running_time(replicates: int, seed: int) -> PropertyResult:
 def check_exactness(replicates: int, seed: int) -> PropertyResult:
     """Calibrated failure frequency is delta to within 3 binomial sigma."""
     mu, epsilon, delta = 5.0, 0.3, 0.05
-    name = f"exact_failure_probability(eps={epsilon}, delta={delta}, mu={mu})"
-    needed = max(MIN_REPLICATES, math.ceil(30.0 / delta))
-    if replicates < needed:
-        return _underpowered(name, needed, replicates)
 
-    def run(rng: RngStream) -> float:
-        return exact_gpas(SyntheticPoissonSource(mu, rng), epsilon, delta, rng).mu_hat
+    def fails(rng: RngStream) -> bool:
+        mu_hat = exact_gpas(SyntheticPoissonSource(mu, rng), epsilon, delta, rng).mu_hat
+        return abs(mu_hat / mu - 1.0) > epsilon
 
-    mu_hats = np.fromiter(
-        replicate(run, replicates, seed), dtype=np.float64, count=replicates
-    )
-    failures = np.abs(mu_hats / mu - 1.0) > epsilon
-    frequency = float(failures.mean())
-    band = 3.0 * math.sqrt(delta * (1.0 - delta) / replicates)
-    return PropertyResult(
-        name=name,
-        passed=abs(frequency - delta) <= band,
-        skipped=False,
-        statistic=frequency,
-        threshold=band,
-        detail=f"|failure frequency - delta| vs 3 binomial sigma over {replicates} runs",
+    return _binomial_frequency(
+        f"exact_failure_probability(eps={epsilon}, delta={delta}, mu={mu})",
+        delta,
+        replicates,
+        lambda: sum(replicate(fails, replicates, seed)) / replicates,
+        f"|failure frequency - delta| vs 3 binomial sigma over {replicates} runs",
     )
 
 
 def check_coverage(replicates: int, seed: int) -> PropertyResult:
     """Exact intervals cover mu with the advertised frequency."""
     mu, k, coverage = 2.0, 200, 0.9
-    name = f"interval_coverage(mu={mu}, k={k}, coverage={coverage})"
-    needed = max(MIN_REPLICATES, math.ceil(30.0 / (1.0 - coverage)))
-    if replicates < needed:
-        return _underpowered(name, needed, replicates)
 
     def covers(rng: RngStream) -> bool:
         ci = confidence_interval(gpas(SyntheticPoissonSource(mu, rng), k, rng), coverage)
         return ci.lower <= mu <= ci.upper
 
-    frequency = sum(replicate(covers, replicates, seed)) / replicates
-    band = 3.0 * math.sqrt(coverage * (1.0 - coverage) / replicates)
-    return PropertyResult(
-        name=name,
-        passed=abs(frequency - coverage) <= band,
-        skipped=False,
-        statistic=frequency,
-        threshold=band,
-        detail=f"|coverage frequency - {coverage}| vs 3 binomial sigma over {replicates} runs",
+    return _binomial_frequency(
+        f"interval_coverage(mu={mu}, k={k}, coverage={coverage})",
+        coverage,
+        replicates,
+        lambda: sum(replicate(covers, replicates, seed)) / replicates,
+        f"|coverage frequency - {coverage}| vs 3 binomial sigma over {replicates} runs",
     )
 
 
@@ -495,21 +503,18 @@ def check_transfer_bounds() -> PropertyResult:
 def check_two_phase_guarantee(replicates: int, seed: int) -> PropertyResult:
     """End-to-end ratio failure frequency at most delta (one-sided, 3 sigma)."""
     mu, epsilon, delta = 15.4, 0.2, 0.1
-    name = f"two_phase_guarantee(eps={epsilon}, delta={delta}, mu={mu})"
-    needed = max(MIN_REPLICATES, math.ceil(30.0 / delta))
-    if replicates < needed:
-        return _underpowered(name, needed, replicates)
-    ratios, _ = replicate_two_phase(mu, epsilon, delta, replicates, seed)
-    failures = np.abs(ratios / math.exp(mu) - 1.0) > epsilon
-    frequency = float(failures.mean())
-    limit = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / replicates)
-    return PropertyResult(
-        name=name,
-        passed=frequency <= limit,
-        skipped=False,
-        statistic=frequency,
-        threshold=limit,
-        detail=f"failure frequency vs one-sided delta bound over {replicates} runs",
+
+    def frequency() -> float:
+        ratios, _ = replicate_two_phase(mu, epsilon, delta, replicates, seed)
+        return float(np.mean(np.abs(ratios / math.exp(mu) - 1.0) > epsilon))
+
+    return _binomial_frequency(
+        f"two_phase_guarantee(eps={epsilon}, delta={delta}, mu={mu})",
+        delta,
+        replicates,
+        frequency,
+        f"failure frequency vs one-sided delta bound over {replicates} runs",
+        one_sided=True,
     )
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 
 from gpas.cli import main
 from gpas.core import failure_probability
+from gpas.numerics import POISSON_MEAN_MAX
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -430,6 +432,52 @@ def test_runtime_error_exits_3_with_one_error_line(runner, tmp_path, args):
     assert result.stdout == ""
     errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
+
+
+@pytest.mark.parametrize("command, at_limit_exit", [("estimate", 0), ("bench", 3)])
+def test_mu_above_numpys_poisson_limit_is_a_usage_error(runner, command, at_limit_exit):
+    # the limit itself passes the option check: one estimate runs on it, and
+    # bench stops on phase 2's calibration cap, a runtime error
+    args = [command, "--epsilon", "0.2", "--delta", "0.1", "--mu"]
+    at_limit = runner.invoke(main, [*args, repr(POISSON_MEAN_MAX)])
+    assert at_limit.exit_code == at_limit_exit, at_limit.output
+    above = runner.invoke(main, [*args, repr(math.nextafter(POISSON_MEAN_MAX, math.inf))])
+    assert above.exit_code == 2, above.output
+    assert above.stdout == ""
+    assert "Poisson limit" in above.stderr
+
+
+_SEEDED = {
+    "estimate": ["estimate", "--mu", "2", "--epsilon", "0.2", "--delta", "0.1"],
+    # 100 replicates: the first size at which a check builds a stream
+    "validate": ["validate", "--replicates", "100"],
+    "tpa-ising": ["tpa-ising", "--width", "2", "--height", "2", "--epsilon", "0.3",
+                  "--delta", "0.2"],
+    "bench": ["bench", "--epsilon", "0.3", "--delta", "0.2", "--mu", "5",
+              "--replicates", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(_SEEDED))
+def test_seed_above_64_bits_is_a_usage_error(runner, command):
+    # a stream key is two unsigned 64-bit words, so 2^64 is out of range by
+    # flag and by environment alike
+    too_big = str(2**64)
+    for args, env in (
+        ([*_SEEDED[command], "--seed", too_big], None),
+        (_SEEDED[command], {"GPAS_SEED": too_big}),
+    ):
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert "--seed" in result.stderr
+
+
+def test_largest_seed_runs_and_fits_the_schema(runner, schema):
+    payload = invoke_json(
+        runner, schema, [*_SEEDED["estimate"], "--seed", str(2**64 - 1)]
+    )
+    assert payload["seed"] == 2**64 - 1
 
 
 @pytest.mark.parametrize("command", ["estimate", "bench"])

@@ -21,7 +21,7 @@ from gpas.core import (
     gpas,
 )
 from gpas.errors import BudgetExceededError, CalibrationError
-from gpas.numerics import RngStream, reg_lower_gamma, sample_poisson
+from gpas.numerics import POISSON_MEAN_MAX, RngStream, reg_lower_gamma, sample_poisson
 from gpas.validation import (
     check_coverage,
     check_distribution_law,
@@ -179,6 +179,21 @@ def test_source_rejects_non_integer_or_nonpositive_budget(max_calls):
     # 2.5 would act as 3 and inf would remove the budget
     with pytest.raises(ValueError, match="max_calls must be a positive integer"):
         SyntheticPoissonSource(1.0, RngStream(SEED), max_calls=max_calls)
+
+
+def test_synthetic_source_takes_means_up_to_numpys_poisson_limit():
+    # numpy's limit, int64 max less ten of its square roots, is accepted and
+    # drawn from; the next float up fails when the source is built, not at
+    # its first draw
+    assert POISSON_MEAN_MAX == 9.223372006484771e18
+    rng = RngStream(SEED, 8)
+    source = SyntheticPoissonSource(POISSON_MEAN_MAX, rng)
+    assert source.draw() > 0
+    above = math.nextafter(POISSON_MEAN_MAX, math.inf)
+    with pytest.raises(ValueError, match="Poisson limit"):
+        SyntheticPoissonSource(above, RngStream(SEED, 8))
+    with pytest.raises(ValueError):
+        sample_poisson(RngStream(SEED, 8), above)
 
 
 def test_source_accepts_numpy_integer_budget():

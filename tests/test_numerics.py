@@ -153,7 +153,7 @@ def test_reg_upper_gamma_complements_lower():
 def test_gamma_quantile_exponential_inverse():
     # Gamma(1, 1) is Exp(1): quantile of 1 - e^-1 is exactly 1
     q = 1.0 - math.exp(-1.0)
-    assert gamma_quantile(1.0, 1.0, q) == pytest.approx(1.0, rel=1e-12)
+    assert gamma_quantile(1.0, q) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gamma_quantile_closed_form_bisection_oracle():
@@ -167,14 +167,14 @@ def test_gamma_quantile_closed_form_bisection_oracle():
             hi = mid
     oracle = 0.5 * (lo + hi)
     assert oracle == pytest.approx(GAMMA_QUANTILE_2_1_HALF, abs=1e-12)
-    assert gamma_quantile(2.0, 1.0, 0.5) == pytest.approx(oracle, rel=1e-12)
+    assert gamma_quantile(2.0, 0.5) == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [1.0, 2.5, 17.0, 200.0, 1000.0])
 @pytest.mark.parametrize("rate", [0.25, 1.0, 8.0])
 @pytest.mark.parametrize("q", [0.001, 0.05, 0.5, 0.95, 0.999])
 def test_gamma_quantile_round_trip(shape, rate, q):
-    t = gamma_quantile(shape, rate, q)
+    t = gamma_quantile(shape, q) / rate
     assert t > 0.0
     assert abs(reg_lower_gamma(shape, rate * t) - q) <= 1e-10
 
@@ -202,7 +202,7 @@ def test_gamma_quantile_round_trip_in_both_tails(shape, tail, upper):
     # Above the median q = 1 - tail is exact (Sterbenz), so 1 - q is the
     # upper tail.
     q = 1.0 - tail if upper else tail
-    x = gamma_quantile(shape, 1.0, q)
+    x = gamma_quantile(shape, q)
     got = _reg_upper_gamma(shape, x) if upper else reg_lower_gamma(shape, x)
     target = 1.0 - q if upper else q
     kappa = x * math.exp((shape - 1) * math.log(x) - x - math.lgamma(shape)) / target
@@ -210,7 +210,7 @@ def test_gamma_quantile_round_trip_in_both_tails(shape, tail, upper):
 
 
 def test_gamma_quantile_strictly_increasing_in_q():
-    quantiles = [gamma_quantile(7.0, 2.0, q) for q in (0.01, 0.2, 0.5, 0.8, 0.99)]
+    quantiles = [gamma_quantile(7.0, q) / 2.0 for q in (0.01, 0.2, 0.5, 0.8, 0.99)]
     assert all(b > a for a, b in zip(quantiles, quantiles[1:]))
 
 
@@ -221,7 +221,7 @@ def test_gamma_quantile_against_mpmath(shape):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         for q in [5e-13, 1e-6, 0.005, 0.5, 0.995, 1.0 - 1e-6, 1.0 - 5e-13]:
-            got = gamma_quantile(shape, 1.0, q)
+            got = gamma_quantile(shape, q)
             target = 1 - mpmath.mpf(q)
             exact = mpmath.findroot(
                 lambda x: mpmath.gammainc(shape, x, mpmath.inf, regularized=True) - target,
@@ -233,7 +233,7 @@ def test_gamma_quantile_against_mpmath(shape):
 @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.5])
 def test_gamma_quantile_domain_errors(q):
     with pytest.raises(ValueError):
-        gamma_quantile(2.0, 1.0, q)
+        gamma_quantile(2.0, q)
 
 
 def test_gamma_quantile_raises_when_boost_finds_none(monkeypatch):
@@ -247,7 +247,7 @@ def test_gamma_quantile_raises_when_boost_finds_none(monkeypatch):
 
     monkeypatch.setattr(numerics_module, "special", NoQuantile)
     with pytest.raises(ArithmeticError):
-        gamma_quantile(2.0, 1.0, 0.5)
+        gamma_quantile(2.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import chndtr
 
 import gpas
 from gpas.core import calibrate
@@ -22,8 +24,8 @@ from gpas.validation import (
     check_distribution_law,
     check_exactness,
     check_transfer_bounds,
+    check_two_phase_guarantee,
     ks_critical_value,
-    ks_statistic,
     poisson_chi_square_pvalue,
     replicate,
     replicate_gpas,
@@ -32,16 +34,6 @@ from gpas.validation import (
 )
 
 SEED = 505
-
-
-def test_ks_statistic_matches_scipy():
-    from scipy.stats import kstest
-
-    rng = np.random.default_rng(SEED)
-    sample = rng.exponential(size=500)
-    ours = ks_statistic(sample, lambda x: 1.0 - np.exp(-x))
-    theirs = kstest(sample, lambda x: 1.0 - np.exp(-x)).statistic
-    assert ours == pytest.approx(theirs, abs=1e-12)
 
 
 def test_ks_critical_value_scales():
@@ -71,17 +63,23 @@ def test_poisson_chi_square_large_means(mean):
 
 
 # Run in a fresh interpreter: importing the package and the CLI must not load
-# scipy.stats, and the two checks that use it must load it on demand.
+# scipy.stats, and the three checks that use it must load it on demand.
 _LAZY_STATS_PROGRAM = """
 import json, sys
 import numpy as np
 import gpas, gpas.cli
 loaded_by_import = "scipy.stats" in sys.modules
-from gpas.validation import check_scale_free_error, poisson_chi_square_pvalue
+from gpas.validation import (
+    check_distribution_law, check_scale_free_error, poisson_chi_square_pvalue,
+)
 seed = int(sys.argv[1])
+law = check_distribution_law(200, seed).statistic
+loaded_by_law = "scipy.stats" in sys.modules
 counts = np.minimum(np.random.default_rng(seed).poisson(3.0, size=2000), 6)
 print(json.dumps({
     "loaded_by_import": loaded_by_import,
+    "loaded_by_law": loaded_by_law,
+    "law": law,
     "pvalue": poisson_chi_square_pvalue(counts, 3.0),
     "ks": check_scale_free_error(200, seed).statistic,
 }))
@@ -103,6 +101,13 @@ def test_scipy_stats_stays_off_the_import_path():
     )
     got = json.loads(result.stdout)
     assert got["loaded_by_import"] is False
+    assert got["loaded_by_law"] is True
+
+    # the arrival-law check's statistic is scipy's one-sample KS statistic
+    # against the Gamma(100, 1) CDF, at its default mu = 3
+    t_primes, _ = replicate_gpas(3.0, 100, 200, SEED)
+    gamma_cdf = lambda x: chndtr(2.0 * x, 200.0, 0.0)
+    assert got["law"] == float(stats.kstest(3.0 * t_primes, gamma_cdf).statistic)
 
     # every bin of the clipped sample expects at least 5, so nothing is pooled
     counts = np.minimum(np.random.default_rng(SEED).poisson(3.0, size=2000), 6)
@@ -123,6 +128,27 @@ def test_scipy_stats_stays_off_the_import_path():
 def test_transfer_bounds_check_is_deterministic_pass():
     result = check_transfer_bounds()
     assert result.passed and not result.skipped
+
+
+@pytest.mark.parametrize(
+    "check, needed",
+    [(check_exactness, 600), (check_coverage, 301), (check_two_phase_guarantee, 300)],
+)
+def test_frequency_checks_run_from_the_count_they_state(check, needed):
+    # the rarer outcome must be expected 30 times: 30 / 0.05 for the
+    # exactness check, 30 / (1 - 0.9) (just above 300 in floats) for
+    # coverage, 30 / 0.1 for the two-phase guarantee
+    detail = check(1, SEED).detail
+    match = re.fullmatch(r"insufficient replicates: needs >= (\d+), got 1", detail)
+    assert match is not None
+    assert int(match.group(1)) == needed
+    below = check(needed - 1, SEED)
+    assert below.skipped and below.passed
+    assert below.detail == f"insufficient replicates: needs >= {needed}, got {needed - 1}"
+    at = check(needed, SEED)
+    assert not at.skipped
+    assert at.passed
+    assert f"over {needed} runs" in at.detail
 
 
 def test_underpowered_checks_are_skipped():
