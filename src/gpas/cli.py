@@ -41,6 +41,9 @@ from .errors import (
     CalibrationError,
     IterationCapError,
     SizeExceededError,
+    _check_poisson_mean,
+    _check_positive_finite,
+    _check_unit_interval,
 )
 from .ising import (
     LatticeGraph,
@@ -49,7 +52,7 @@ from .ising import (
     log_partition_function,
     partition_function,
 )
-from .numerics import POISSON_MEAN_MAX, RngStream
+from .numerics import RngStream
 from .tpa import two_phase_scheme
 from .validation import replicate, replicate_two_phase, run_all
 
@@ -59,37 +62,30 @@ EXIT_VALIDATION_FAILURE = 1
 EXIT_BUDGET = 3
 
 
-def _unit_interval(name: str):
+def _rules(*checks):
+    """Option callback applying the library's domain rules to the value.
+
+    Each check is a rule of :mod:`gpas.errors`, called with the option's
+    name; its ValueError becomes a usage error carrying the same message.
+    """
+
     def callback(ctx, param, value):
-        if value is not None and not 0.0 < value < 1.0:
-            raise click.BadParameter(
-                f"{name} must lie strictly inside (0, 1), got {value}"
-            )
-        return value
-
-    return callback
-
-
-def _finite_mean(positive: bool):
-    def callback(ctx, param, value):
-        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-            sign = "positive" if positive else "nonnegative"
-            raise click.BadParameter(f"mu must be a {sign} finite real, got {value}")
-        if value > POISSON_MEAN_MAX:
-            raise click.BadParameter(
-                f"mu must be at most {POISSON_MEAN_MAX!r}, numpy's Poisson limit, got {value}"
-            )
+        try:
+            for check in checks:
+                check(param.name, value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from None
         return value
 
     return callback
 
 
 _epsilon_option = click.option(
-    "--epsilon", type=float, required=True, callback=_unit_interval("epsilon"),
+    "--epsilon", type=float, required=True, callback=_rules(_check_unit_interval),
     help="Target relative error, in (0, 1).",
 )
 _delta_option = click.option(
-    "--delta", type=float, required=True, callback=_unit_interval("delta"),
+    "--delta", type=float, required=True, callback=_rules(_check_unit_interval),
     help="Target failure probability, in (0, 1).",
 )
 _seed_option = click.option(
@@ -177,7 +173,7 @@ def cmd_calibrate(epsilon, delta, k_cap, output_format, output_path) -> None:
 
 @main.command("estimate")
 @click.option(
-    "--mu", type=float, required=True, callback=_finite_mean(positive=False),
+    "--mu", type=float, required=True, callback=_rules(_check_poisson_mean),
     help="Mean of the synthetic Poisson source.",
 )
 @_epsilon_option
@@ -379,7 +375,7 @@ def cmd_tpa_ising(
 @_epsilon_option
 @_delta_option
 @click.option(
-    "--mu", type=float, required=True, callback=_finite_mean(positive=True),
+    "--mu", type=float, required=True, callback=_rules(_check_positive_finite, _check_poisson_mean),
     help="Synthetic Poisson mean standing in for the descent (recorded in the output).",
 )
 @click.option(

@@ -34,12 +34,16 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
 
-import numpy as np
 from scipy.special import ndtri
 
-from .errors import BudgetExceededError, CalibrationError
+from .errors import (
+    BudgetExceededError,
+    CalibrationError,
+    _check_integer,
+    _check_poisson_mean,
+    _check_unit_interval,
+)
 from .numerics import (
-    POISSON_MEAN_MAX,
     RngStream,
     _reg_upper_gamma,
     gamma_quantile,
@@ -92,8 +96,7 @@ class PoissonSource:
     """
 
     def __init__(self, draw: Callable[[], int], max_calls: int = DEFAULT_SOURCE_BUDGET) -> None:
-        if not isinstance(max_calls, (int, np.integer)) or max_calls < 1:
-            raise ValueError(f"max_calls must be a positive integer, got {max_calls!r}")
+        _check_integer("max_calls", max_calls, 1)
         self.draw = draw
         self.max_calls = max_calls
         self.call_count = 0
@@ -113,12 +116,7 @@ class SyntheticPoissonSource(PoissonSource):
         rng: RngStream,
         max_calls: int = DEFAULT_SOURCE_BUDGET,
     ) -> None:
-        if not (math.isfinite(mu) and mu >= 0.0):
-            raise ValueError(f"mu must be a nonnegative finite real, got {mu!r}")
-        if mu > POISSON_MEAN_MAX:
-            raise ValueError(
-                f"mu must be at most {POISSON_MEAN_MAX!r}, numpy's Poisson limit, got {mu!r}"
-            )
+        _check_poisson_mean("mu", mu)
         super().__init__(partial(sample_poisson, rng, mu), max_calls=max_calls)
         self.mu = mu
 
@@ -186,8 +184,7 @@ def gpas(source: PoissonSource, k: int, rng: RngStream) -> GpasResult:
             exists only for k > 1).
         BudgetExceededError: if the source budget runs out first.
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    _check_integer("k", k, 2)
     # the budget bounds the loop, so a count costs only the draw, a sum and
     # one test; call_count is settled once, however the run ends
     draw = source.draw
@@ -227,10 +224,8 @@ def failure_probability(k: int, epsilon: float) -> float:
     tail is evaluated directly, not as one minus the CDF, so it keeps its
     relative precision when it is far below machine epsilon.
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
+    _check_integer("k", k, 2)
+    _check_unit_interval("epsilon", epsilon)
     k = int(k)
     rate = float(k - 1)
     low_tail = reg_lower_gamma(k, rate / (1.0 + epsilon))
@@ -283,12 +278,9 @@ def calibrate(epsilon: float, delta: float, k_cap: int = DEFAULT_K_CAP) -> Calib
             k_cap the search stops, and otherwise the error names the
             minimal k, found above k_cap.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
-    if not isinstance(k_cap, (int, np.integer)) or k_cap < 3:
-        raise ValueError(f"k_cap must be an integer >= 3, got {k_cap!r}")
+    _check_unit_interval("epsilon", epsilon)
+    _check_unit_interval("delta", delta)
+    _check_integer("k_cap", k_cap, 3)
 
     probes: dict[int, float] = {}
 
@@ -397,8 +389,7 @@ def confidence_interval(result: GpasResult, coverage: float) -> ConfidenceInterv
     quantiles at (1 - coverage)/2 and (1 + coverage)/2 by t_prime yields an
     interval containing mu with probability exactly ``coverage``.
     """
-    if not (0.0 < coverage < 1.0):
-        raise ValueError(f"coverage must lie strictly inside (0, 1), got {coverage!r}")
+    _check_unit_interval("coverage", coverage)
     tail = 0.5 * (1.0 - coverage)
     lower = gamma_quantile(result.k, tail) / result.t_prime
     upper = gamma_quantile(result.k, 1.0 - tail) / result.t_prime

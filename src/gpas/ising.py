@@ -38,7 +38,7 @@ from types import MethodType
 
 import numpy as np
 
-from .errors import SizeExceededError
+from .errors import SizeExceededError, _check_integer
 from .numerics import RngStream
 from .tpa import NestedGibbsFamily
 
@@ -83,8 +83,7 @@ _GUIDE_SIZE = 256
 
 
 def _check_vertex_count(vertex_count: int) -> None:
-    if not isinstance(vertex_count, (int, np.integer)) or vertex_count < 1:
-        raise ValueError(f"vertex_count must be a positive integer, got {vertex_count!r}")
+    _check_integer("vertex_count", vertex_count, 1)
     if vertex_count > ENUMERATION_LIMIT:
         raise SizeExceededError(
             f"{vertex_count} vertices exceed the enumeration bound of {ENUMERATION_LIMIT}"
@@ -125,9 +124,8 @@ class LatticeGraph:
     @classmethod
     def grid(cls, width: int, height: int) -> "LatticeGraph":
         """4-neighbor width x height lattice with free boundary."""
-        for name, side in (("width", width), ("height", height)):
-            if not isinstance(side, (int, np.integer)) or side < 1:
-                raise ValueError(f"grid {name} must be a positive integer, got {side!r}")
+        _check_integer("grid width", width, 1)
+        _check_integer("grid height", height, 1)
         _check_vertex_count(width * height)  # before building the edge list
         edges: list[tuple[int, int]] = []
         for row in range(height):
@@ -201,7 +199,7 @@ class HamiltonianHistogram:
         if counts.ndim != 1 or counts.size < 1:
             raise ValueError("counts must be a one-dimensional nonempty array")
         if not np.array_equal(counts, given):
-            raise ValueError(f"counts must be integers, got {given.tolist()!r}")
+            raise ValueError(f"counts must all be integers, got {given.tolist()!r}")
         if counts.min() < 0:
             raise ValueError(f"counts must be nonnegative, got {counts.tolist()!r}")
         if int(counts.sum()) != 1 << self.vertex_count:

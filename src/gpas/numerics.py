@@ -23,6 +23,15 @@ import math
 import numpy as np
 from scipy import special
 
+from .errors import (
+    POISSON_MEAN_MAX,
+    _check_integer,
+    _check_nonnegative_finite,
+    _check_poisson_mean,
+    _check_positive_finite,
+    _check_unit_interval,
+)
+
 __all__ = [
     "POISSON_MEAN_MAX",
     "RngStream",
@@ -56,7 +65,8 @@ def reg_lower_gamma(shape: float, x: float) -> float:
     Raises:
         ValueError: if ``shape <= 0`` or ``x < 0`` (or either is not finite).
     """
-    _check_gamma_args(shape, x)
+    _check_positive_finite("shape", shape)
+    _check_nonnegative_finite("x", x)
     if x == 0.0:
         return 0.0
     if x < shape + 1.0:
@@ -69,15 +79,9 @@ def _reg_upper_gamma(shape: float, x: float) -> float:
     # it converges, so a tiny upper tail is not lost in 1 - P
     if x < shape + 1.0:
         return 1.0 - reg_lower_gamma(shape, x)
-    _check_gamma_args(shape, x)
+    _check_positive_finite("shape", shape)
+    _check_nonnegative_finite("x", x)
     return _upper_continued_fraction(shape, x)
-
-
-def _check_gamma_args(shape: float, x: float) -> None:
-    if not (math.isfinite(shape) and shape > 0.0):
-        raise ValueError(f"shape must be a positive finite real, got {shape!r}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"x must be a nonnegative finite real, got {x!r}")
 
 
 # Above this shape the naive exponent shape*ln(x) - x - lgamma(shape) is a
@@ -198,10 +202,8 @@ def gamma_quantile(shape: float, q: float) -> float:
         ArithmeticError: if Boost finds no quantile (it returns NaN for
             shapes of about 1e12 and up).
     """
-    if not (math.isfinite(shape) and shape > 0.0):
-        raise ValueError(f"shape must be a positive finite real, got {shape!r}")
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"q must lie strictly inside (0, 1), got {q!r}")
+    _check_positive_finite("shape", shape)
+    _check_unit_interval("q", q)
     chi_square = float(special.chndtrix(q, 2.0 * shape, 0.0))
     if math.isnan(chi_square):
         raise ArithmeticError(f"no Gamma quantile found for shape={shape}, q={q}")
@@ -223,10 +225,6 @@ _BUFFER_SCHEDULE = (64, 256, 1024, 4096, 16384)
 _COUNT_BLOCK_FIRST = 64
 _COUNT_BLOCK_CAP = 1024
 _COUNT_COUNTER = (0, 0, 0, 2**63)
-
-# The largest mean numpy's Poisson sampler accepts: int64 max less ten of its
-# square roots, so a count stays in int64.  numpy raises above it.
-POISSON_MEAN_MAX = float(2**63 - 1 - 10 * math.sqrt(2**63 - 1))
 
 
 class RngStream:
@@ -267,11 +265,8 @@ class RngStream:
     )
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
-        for name, value in (("seed", seed), ("stream_id", stream_id)):
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not 0 <= value < 2**64:
-                raise ValueError(f"{name} must fit in 64 unsigned bits, got {value!r}")
+        _check_integer("seed", seed, 0, 2**64)
+        _check_integer("stream_id", stream_id, 0, 2**64)
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._gen = np.random.Generator(np.random.Philox(key=self._key()))
@@ -301,8 +296,7 @@ class RngStream:
 
     def _refill_counts(self, mu: float) -> int:
         # called by sample_poisson, which validates mu, when the buffer is
-        # spent or holds counts of another mean; numpy rejects means it
-        # cannot draw before any state changes
+        # spent or holds counts of another mean
         if self._count_gen is None:
             self._count_gen = np.random.Generator(
                 np.random.Philox(key=self._key(), counter=_COUNT_COUNTER)
@@ -333,16 +327,17 @@ def sample_poisson(rng: RngStream, mu: float) -> int:
     mean are the same sequence whatever the block sizes and whatever other
     draws fall between them.  A call at the buffered mean pops the next
     count, which skips even the argument check (that mean passed it).  The
-    cost does not grow with mu; means above :data:`POISSON_MEAN_MAX` (about
-    9.2e18) raise ValueError.
+    cost does not grow with mu.  Any other mean is checked before the
+    stream's state changes: it must be finite, nonnegative and at most
+    :data:`POISSON_MEAN_MAX` (about 9.2e18), numpy's limit, or ValueError
+    is raised.
     """
     if mu == rng._count_mu:
         try:
             return rng._next_count()
         except StopIteration:
             return rng._refill_counts(mu)
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise ValueError(f"mu must be a nonnegative finite real, got {mu!r}")
+    _check_poisson_mean("mu", mu)
     if mu == 0.0:
         return 0
     return rng._refill_counts(mu)
@@ -354,11 +349,8 @@ def sample_beta(rng: RngStream, a: int, b: int) -> float:
     Drawn by the stream's generator and clamped to the open interval (0, 1),
     so an arrival time built from it is never exactly 0.
     """
-    for name, value in (("a", a), ("b", b)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value!r}")
+    _check_integer("a", a, 1)
+    _check_integer("b", b, 1)
     ratio = float(rng._gen.beta(a, b))
     if ratio <= 0.0:
         return math.nextafter(0.0, 1.0)

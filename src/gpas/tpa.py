@@ -34,7 +34,7 @@ from .core import (
     confidence_interval,
     exact_gpas,
 )
-from .errors import IterationCapError
+from .errors import IterationCapError, _check_positive_finite, _check_unit_interval
 from .numerics import RngStream
 
 __all__ = [
@@ -146,10 +146,8 @@ def relative_error_transfer(epsilon: float, r: float) -> float:
     ln(1 + epsilon) is the binding side: it is smaller in magnitude than
     ln(1 - epsilon).
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"r must be a positive finite real, got {r!r}")
+    _check_unit_interval("epsilon", epsilon)
+    _check_positive_finite("r", r)
     return math.log1p(epsilon) / r
 
 
@@ -161,10 +159,8 @@ def phase2_epsilon(epsilon: float, r_hat1: float) -> float:
     epsilon.  Clamped just below 1 so calibration stays well-posed for very
     small phase-1 estimates.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
-    if not (math.isfinite(r_hat1) and r_hat1 > 0.0):
-        raise ValueError(f"r_hat1 must be a positive finite real, got {r_hat1!r}")
+    _check_unit_interval("epsilon", epsilon)
+    _check_positive_finite("r_hat1", r_hat1)
     return min(math.log1p(epsilon) * (1.0 - epsilon) / r_hat1, _EPSILON2_CEILING)
 
 
@@ -188,10 +184,8 @@ def two_phase_from_source(
         CalibrationError: if no index up to the cap reaches a phase's
             precision.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
+    _check_unit_interval("epsilon", epsilon)
+    _check_unit_interval("delta", delta)
     source1 = make_source()
     first = exact_gpas(source1, epsilon, delta / 2.0, rng)
     eps2 = phase2_epsilon(epsilon, first.mu_hat)

@@ -46,6 +46,7 @@ from .core import (
     gpas,
 )
 from .ising import IsingGibbsFamily, LatticeGraph, build_histogram, log_partition_function
+from .errors import _check_positive_finite, _check_unit_interval
 from .numerics import RngStream, sample_poisson
 from .tpa import (
     phase2_epsilon,
@@ -208,8 +209,7 @@ def chernoff_tail_bound(total_mean: float, epsilon: float) -> float:
 
     exp(-lam h(eps)) + exp(-lam h(-eps)) with h(a) = (1+a)ln(1+a) - a.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
+    _check_unit_interval("epsilon", epsilon)
     upper = (1.0 + epsilon) * math.log1p(epsilon) - epsilon
     lower = (1.0 - epsilon) * math.log1p(-epsilon) + epsilon
     return math.exp(-total_mean * upper) + math.exp(-total_mean * lower)
@@ -217,8 +217,7 @@ def chernoff_tail_bound(total_mean: float, epsilon: float) -> float:
 
 def chernoff_total_mean(epsilon: float, delta: float) -> float:
     """Minimal total expected count lam with the Chernoff bound at most delta."""
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
+    _check_unit_interval("delta", delta)
     lo, hi = 0.0, 1.0
     while chernoff_tail_bound(hi, epsilon) > delta:
         hi *= 2.0
@@ -235,8 +234,7 @@ def chernoff_total_mean(epsilon: float, delta: float) -> float:
 
 def chernoff_fixed_sample_size(mu: float, epsilon: float, delta: float) -> int:
     """Draws of Poisson(mu) a fixed-sample mean needs per the Chernoff bound."""
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
+    _check_positive_finite("mu", mu)
     return math.ceil(chernoff_total_mean(epsilon, delta) / mu)
 
 
@@ -295,11 +293,17 @@ def _binomial_frequency(
 
     The check is skipped below max(MIN_REPLICATES, ceil(30 / p)) replicates,
     p the rarer outcome's probability, so that outcome is expected at least
-    30 times.  Otherwise ``frequency()`` runs the replicates, and its result
-    must lie within 3 binomial sigma of target; one-sided, it must only not
-    exceed target + 3 sigma, which is then the reported threshold.
+    30 times.  p is taken from target as written, in exact arithmetic: the
+    float 1 - 0.9 is 0.09999999999999998, which would ask for 301 replicates
+    where the rule means 300.  Otherwise ``frequency()`` runs the
+    replicates, and its result must lie within 3 binomial sigma of target;
+    one-sided, it must only not exceed target + 3 sigma, which is then the
+    reported threshold.
     """
-    needed = max(MIN_REPLICATES, math.ceil(30.0 / min(target, 1.0 - target)))
+    from fractions import Fraction
+
+    written = Fraction(repr(target))
+    needed = max(MIN_REPLICATES, math.ceil(30 / min(written, 1 - written)))
     if replicates < needed:
         return _underpowered(name, needed, replicates)
     observed = frequency()

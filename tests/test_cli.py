@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from gpas.cli import main
 from gpas.core import failure_probability
+from gpas.errors import _check_poisson_mean, _check_positive_finite, _check_unit_interval
 from gpas.numerics import POISSON_MEAN_MAX
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -488,6 +489,43 @@ def test_non_finite_mu_is_a_usage_error(runner, command, mu):
     )
     assert result.exit_code == 2
     assert "finite" in result.output
+
+
+_ABOVE_POISSON_LIMIT = repr(math.nextafter(POISSON_MEAN_MAX, math.inf))
+# option id: (the other arguments, the option, the library rules it applies)
+_FLOAT_OPTIONS = {
+    "epsilon": (["calibrate", "--delta", "0.1"], "epsilon", [_check_unit_interval]),
+    "delta": (["calibrate", "--epsilon", "0.2"], "delta", [_check_unit_interval]),
+    "estimate-mu": (
+        ["estimate", "--epsilon", "0.2", "--delta", "0.1"], "mu", [_check_poisson_mean],
+    ),
+    "bench-mu": (
+        ["bench", "--epsilon", "0.2", "--delta", "0.1"], "mu",
+        [_check_positive_finite, _check_poisson_mean],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        *((option, value) for option in ("epsilon", "delta")
+          for value in ("0", "1", "nan", "inf", "-1")),
+        *(("estimate-mu", value) for value in ("nan", "inf", "-1", _ABOVE_POISSON_LIMIT)),
+        *(("bench-mu", value) for value in ("0", "nan", "inf", "-1", _ABOVE_POISSON_LIMIT)),
+    ],
+)
+def test_float_options_reject_with_the_library_rule(runner, option, value):
+    # the CLI states no range of its own: its usage error carries the
+    # message of the rule the library applies to the same value
+    args, name, rules = _FLOAT_OPTIONS[option]
+    with pytest.raises(ValueError) as library:
+        for rule in rules:
+            rule(name, float(value))
+    result = runner.invoke(main, [*args, f"--{name}", value])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert str(library.value) in result.stderr
 
 
 def test_tpa_ising_csv_one_row_per_run(runner):

@@ -177,7 +177,7 @@ def test_gpas_charges_what_it_drew_when_the_source_fails():
 @pytest.mark.parametrize("max_calls", [0, -1, 2.5, math.inf, "10", 10.0])
 def test_source_rejects_non_integer_or_nonpositive_budget(max_calls):
     # 2.5 would act as 3 and inf would remove the budget
-    with pytest.raises(ValueError, match="max_calls must be a positive integer"):
+    with pytest.raises(ValueError, match="max_calls must be an integer >= 1"):
         SyntheticPoissonSource(1.0, RngStream(SEED), max_calls=max_calls)
 
 
@@ -192,8 +192,20 @@ def test_synthetic_source_takes_means_up_to_numpys_poisson_limit():
     above = math.nextafter(POISSON_MEAN_MAX, math.inf)
     with pytest.raises(ValueError, match="Poisson limit"):
         SyntheticPoissonSource(above, RngStream(SEED, 8))
-    with pytest.raises(ValueError):
-        sample_poisson(RngStream(SEED, 8), above)
+
+
+def test_sample_poisson_states_the_poisson_limit_itself():
+    # the source's message, raised before the stream changes: the counts
+    # buffered at another mean are neither dropped nor redrawn
+    above = math.nextafter(POISSON_MEAN_MAX, math.inf)
+    with pytest.raises(ValueError) as from_source:
+        SyntheticPoissonSource(above, RngStream(SEED, 8))
+    rng, fresh = RngStream(SEED, 8), RngStream(SEED, 8)
+    first = sample_poisson(rng, 2.0)
+    with pytest.raises(ValueError) as from_sampler:
+        sample_poisson(rng, above)
+    assert str(from_sampler.value) == str(from_source.value)
+    assert [first, sample_poisson(rng, 2.0)] == [sample_poisson(fresh, 2.0) for _ in range(2)]
 
 
 def test_source_accepts_numpy_integer_budget():

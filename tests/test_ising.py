@@ -86,9 +86,9 @@ def test_grid_edge_count_formula(width, height):
 
 
 def test_grid_rejects_nonpositive_dimensions():
-    with pytest.raises(ValueError, match="grid width must be a positive integer"):
+    with pytest.raises(ValueError, match="grid width must be an integer >= 1"):
         LatticeGraph.grid(0, 3)
-    with pytest.raises(ValueError, match="grid height must be a positive integer"):
+    with pytest.raises(ValueError, match="grid height must be an integer >= 1"):
         LatticeGraph.grid(3, -1)
 
 
@@ -97,7 +97,7 @@ def test_grid_rejects_nonpositive_dimensions():
     [(2.0, 2, "width"), ("2", 2, "width"), (2, 1.5, "height"), (2, None, "height")],
 )
 def test_grid_rejects_non_integer_dimensions_by_name(width, height, name):
-    with pytest.raises(ValueError, match=f"grid {name} must be a positive integer"):
+    with pytest.raises(ValueError, match=f"grid {name} must be an integer >= 1"):
         LatticeGraph.grid(width, height)
 
 
@@ -164,7 +164,7 @@ def test_edge_file_empty_needs_vertex_count(tmp_path):
 
 @pytest.mark.parametrize("vertex_count", [3.0, 2.5, "3"])
 def test_graph_rejects_non_integer_vertex_count(vertex_count):
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="vertex_count must be an integer >= 1"):
         LatticeGraph(vertex_count=vertex_count, edges=())
 
 
@@ -452,14 +452,14 @@ def test_histogram_rejects_non_integral_counts():
 
 
 def test_histogram_rejects_nonpositive_vertex_count():
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="vertex_count must be an integer >= 1"):
         HamiltonianHistogram(vertex_count=0, counts=[1])
 
 
 def test_histogram_rejects_non_integer_vertex_count():
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="vertex_count must be an integer >= 1"):
         HamiltonianHistogram(vertex_count=2.5, counts=[2, 2])
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="vertex_count must be an integer >= 1"):
         HamiltonianHistogram(vertex_count=1.0, counts=[1, 1])
 
 

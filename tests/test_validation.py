@@ -132,12 +132,12 @@ def test_transfer_bounds_check_is_deterministic_pass():
 
 @pytest.mark.parametrize(
     "check, needed",
-    [(check_exactness, 600), (check_coverage, 301), (check_two_phase_guarantee, 300)],
+    [(check_exactness, 600), (check_coverage, 300), (check_two_phase_guarantee, 300)],
 )
 def test_frequency_checks_run_from_the_count_they_state(check, needed):
     # the rarer outcome must be expected 30 times: 30 / 0.05 for the
-    # exactness check, 30 / (1 - 0.9) (just above 300 in floats) for
-    # coverage, 30 / 0.1 for the two-phase guarantee
+    # exactness check, 30 / (1 - 0.9) for coverage (300, though the float
+    # 1 - 0.9 is just below 0.1), 30 / 0.1 for the two-phase guarantee
     detail = check(1, SEED).detail
     match = re.fullmatch(r"insufficient replicates: needs >= (\d+), got 1", detail)
     assert match is not None
@@ -201,6 +201,13 @@ def test_chernoff_total_mean_is_boundary():
 def test_chernoff_sample_size_rounds_up():
     lam = chernoff_total_mean(0.2, 0.01)
     assert chernoff_fixed_sample_size(5.0, 0.2, 0.01) == math.ceil(lam / 5.0)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.inf, math.nan])
+def test_chernoff_sample_size_domain_errors(mu):
+    # an infinite mean used to size the arm at 0 draws
+    with pytest.raises(ValueError, match="mu must be a positive finite real"):
+        chernoff_fixed_sample_size(mu, 0.2, 0.01)
 
 
 def test_chernoff_bound_is_looser_than_exact_calibration():
