@@ -20,6 +20,15 @@ import math
 
 import numpy as np
 
+__all__ = [
+    "POISSON_MEAN_MAX",
+    "GpasError",
+    "BudgetExceededError",
+    "CalibrationError",
+    "IterationCapError",
+    "SizeExceededError",
+]
+
 # The largest mean numpy's Poisson sampler accepts: int64 max less ten of its
 # square roots, so a count stays in int64.  numpy raises above it.
 POISSON_MEAN_MAX = float(2**63 - 1 - 10 * math.sqrt(2**63 - 1))

@@ -33,7 +33,6 @@ from .errors import (
 )
 
 __all__ = [
-    "POISSON_MEAN_MAX",
     "RngStream",
     "reg_lower_gamma",
     "gamma_quantile",
@@ -67,6 +66,9 @@ def reg_lower_gamma(shape: float, x: float) -> float:
     """
     _check_positive_finite("shape", shape)
     _check_nonnegative_finite("x", x)
+    # a float shape keeps -i * (i - shape) in the continued fraction off a
+    # numpy unsigned type, where it would wrap or overflow
+    shape = float(shape)
     if x == 0.0:
         return 0.0
     if x < shape + 1.0:
@@ -81,7 +83,7 @@ def _reg_upper_gamma(shape: float, x: float) -> float:
         return 1.0 - reg_lower_gamma(shape, x)
     _check_positive_finite("shape", shape)
     _check_nonnegative_finite("x", x)
-    return _upper_continued_fraction(shape, x)
+    return _upper_continued_fraction(float(shape), x)
 
 
 # Above this shape the naive exponent shape*ln(x) - x - lgamma(shape) is a

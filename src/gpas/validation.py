@@ -46,7 +46,7 @@ from .core import (
     gpas,
 )
 from .ising import IsingGibbsFamily, LatticeGraph, build_histogram, log_partition_function
-from .errors import _check_positive_finite, _check_unit_interval
+from .errors import _check_nonnegative_finite, _check_positive_finite, _check_unit_interval
 from .numerics import RngStream, sample_poisson
 from .tpa import (
     phase2_epsilon,
@@ -209,7 +209,9 @@ def chernoff_tail_bound(total_mean: float, epsilon: float) -> float:
 
     exp(-lam h(eps)) + exp(-lam h(-eps)) with h(a) = (1+a)ln(1+a) - a.
     """
+    _check_nonnegative_finite("total_mean", total_mean)
     _check_unit_interval("epsilon", epsilon)
+    total_mean = float(total_mean)
     upper = (1.0 + epsilon) * math.log1p(epsilon) - epsilon
     lower = (1.0 - epsilon) * math.log1p(-epsilon) + epsilon
     return math.exp(-total_mean * upper) + math.exp(-total_mean * lower)

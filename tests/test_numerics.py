@@ -145,6 +145,15 @@ def test_reg_upper_gamma_complements_lower():
         _reg_upper_gamma(1.0, math.nan)
 
 
+@pytest.mark.parametrize("dtype", [np.uint64, np.uint32, np.int64])
+@pytest.mark.parametrize("shape,x", [(3, 1.0), (3, 10.0), (200, 150.0), (200, 260.0)])
+def test_gamma_tails_take_numpy_integer_shapes(dtype, shape, x):
+    # x < shape + 1 takes the series, otherwise the continued fraction, whose
+    # -i * (i - shape) wraps around if computed in an unsigned type
+    assert reg_lower_gamma(dtype(shape), x) == reg_lower_gamma(shape, x)
+    assert _reg_upper_gamma(dtype(shape), x) == _reg_upper_gamma(shape, x)
+
+
 # ---------------------------------------------------------------------------
 # gamma_quantile
 # ---------------------------------------------------------------------------

@@ -192,6 +192,18 @@ def test_chernoff_tail_bound_formula():
     assert chernoff_tail_bound(lam, eps) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("total_mean", [-5.0, math.nan, math.inf])
+def test_chernoff_tail_bound_domain_errors(total_mean):
+    # a negative mean would give a "probability" above 1
+    with pytest.raises(ValueError, match="total_mean must be a nonnegative finite real"):
+        chernoff_tail_bound(total_mean, 0.2)
+
+
+def test_chernoff_tail_bound_takes_a_numpy_unsigned_mean():
+    # negating an np.uint64 mean would wrap around
+    assert chernoff_tail_bound(np.uint64(100), 0.2) == chernoff_tail_bound(100.0, 0.2)
+
+
 def test_chernoff_total_mean_is_boundary():
     lam = chernoff_total_mean(0.2, 0.01)
     assert chernoff_tail_bound(lam, 0.2) <= 0.01
