@@ -41,6 +41,7 @@ from .errors import (
     CalibrationError,
     IterationCapError,
     SizeExceededError,
+    _check_coverage_delta,
     _check_poisson_mean,
     _check_positive_finite,
     _check_unit_interval,
@@ -87,6 +88,11 @@ _epsilon_option = click.option(
 _delta_option = click.option(
     "--delta", type=float, required=True, callback=_rules(_check_unit_interval),
     help="Target failure probability, in (0, 1).",
+)
+# estimate, tpa-ising and bench compute an interval at coverage 1 - delta
+_coverage_delta_option = click.option(
+    "--delta", type=float, required=True, callback=_rules(_check_coverage_delta),
+    help="Target failure probability, in (2^-54, 1): the coverage 1 - delta is below 1.",
 )
 _seed_option = click.option(
     "--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True,
@@ -177,7 +183,7 @@ def cmd_calibrate(epsilon, delta, k_cap, output_format, output_path) -> None:
     help="Mean of the synthetic Poisson source.",
 )
 @_epsilon_option
-@_delta_option
+@_coverage_delta_option
 @_seed_option
 @click.option(
     "--max-calls", type=click.IntRange(min=1), default=DEFAULT_SOURCE_BUDGET,
@@ -278,7 +284,7 @@ def _single_run_fields(report, z_inner: float, delta: float) -> dict:
     help="Edge list file ('u v' per line, 0-indexed) instead of a grid.",
 )
 @_epsilon_option
-@_delta_option
+@_coverage_delta_option
 @_seed_option
 @click.option(
     "--replicates", type=click.IntRange(min=1), default=1, show_default=True,
@@ -373,7 +379,7 @@ def cmd_tpa_ising(
 
 @main.command("bench")
 @_epsilon_option
-@_delta_option
+@_coverage_delta_option
 @click.option(
     "--mu", type=float, required=True, callback=_rules(_check_positive_finite, _check_poisson_mean),
     help="Synthetic Poisson mean standing in for the descent (recorded in the output).",

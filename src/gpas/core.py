@@ -20,7 +20,7 @@ mu / sqrt(k - 2).  Three consequences are implemented here:
   k and k - 1) so that the failure probability equals a requested delta
   exactly, not merely at most;
 * ``confidence_interval`` turns one run into an interval with exact
-  coverage by dividing Gamma quantiles by T'.
+  coverage by dividing Gamma points, each from its own tail, by T'.
 
 The counts come from a :class:`PoissonSource`: a zero-argument ``draw``
 callable with a draw budget.  The expected number of counts consumed by a
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
 
-from scipy.special import ndtri
+from scipy.special import gammainccinv, ndtri
 
 from .errors import (
     BudgetExceededError,
@@ -276,7 +276,9 @@ def calibrate(epsilon: float, delta: float, k_cap: int = DEFAULT_K_CAP) -> Calib
         CalibrationError: if no k <= k_cap suffices, or monotonicity fails.
             The upward bracket is not capped; once its lower end reaches
             k_cap the search stops, and otherwise the error names the
-            minimal k, found above k_cap.
+            minimal k, found above k_cap.  Also if the failure probability
+            at a probed k raises ArithmeticError (a Gamma tail that does
+            not converge); the error names k and epsilon.
     """
     _check_unit_interval("epsilon", epsilon)
     _check_unit_interval("delta", delta)
@@ -286,7 +288,12 @@ def calibrate(epsilon: float, delta: float, k_cap: int = DEFAULT_K_CAP) -> Calib
 
     def f(k: int) -> float:
         if k not in probes:
-            probes[k] = failure_probability(k, epsilon)
+            try:
+                probes[k] = failure_probability(k, epsilon)
+            except ArithmeticError as exc:
+                raise CalibrationError(
+                    f"failure probability at k={k}, epsilon={epsilon} not found: {exc}"
+                ) from exc
         return probes[k]
 
     # a guess beyond k_cap (infinite once delta / 2 underflows) starts at
@@ -385,12 +392,17 @@ def exact_gpas(
 def confidence_interval(result: GpasResult, coverage: float) -> ConfidenceInterval:
     """Exact equal-tailed interval for the source mean from one run.
 
-    mu * t_prime ~ Gamma(k, 1) regardless of mu, so dividing the Gamma(k, 1)
-    quantiles at (1 - coverage)/2 and (1 + coverage)/2 by t_prime yields an
-    interval containing mu with probability exactly ``coverage``.
+    mu * t_prime ~ Gamma(k, 1) regardless of mu, so dividing by t_prime the
+    Gamma(k, 1) points with lower tail (1 - coverage)/2 and with upper tail
+    (1 - coverage)/2 yields an interval containing mu with probability
+    exactly ``coverage``.  Each endpoint comes from its own tail: the lower
+    one is :func:`~gpas.numerics.gamma_quantile` at the tail, the upper one
+    ``scipy.special.gammainccinv`` at the tail.  The quantile at 1 - tail
+    would round the tail to the float spacing below 1 (1.1e-16), and no
+    such level is left for a tail of 2^-54.
     """
     _check_unit_interval("coverage", coverage)
     tail = 0.5 * (1.0 - coverage)
     lower = gamma_quantile(result.k, tail) / result.t_prime
-    upper = gamma_quantile(result.k, 1.0 - tail) / result.t_prime
+    upper = float(gammainccinv(result.k, tail)) / result.t_prime
     return ConfidenceInterval(lower=lower, upper=upper, coverage=coverage)

@@ -2,9 +2,11 @@
 
 Plain parameter-domain violations raise ValueError.  The generic rules live
 here, each stated once, as the private ``_check_*`` functions below: an open
-unit interval, a positive or a nonnegative finite real, an integer at or
-above a bound (seeds and stream ids also below 2^64), and a Poisson mean, a
-nonnegative finite real at most :data:`POISSON_MEAN_MAX`, numpy's limit.
+unit interval, a failure probability in (2^-54, 1) whose coverage
+1 - delta is below 1.0 as a float, a positive or a nonnegative finite real,
+an integer at or above a bound (seeds and stream ids also below 2^64), and a
+Poisson mean, a nonnegative finite real at most :data:`POISSON_MEAN_MAX`,
+numpy's limit.
 Every message names the argument, the rule and the value.  Every module
 applies these rules to its own arguments, and the CLI's float options apply
 the same functions and report their message as a usage error.  A check that
@@ -37,6 +39,17 @@ POISSON_MEAN_MAX = float(2**63 - 1 - 10 * math.sqrt(2**63 - 1))
 def _check_unit_interval(name: str, value: float) -> None:
     if not (0.0 < value < 1.0):
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+
+
+def _check_coverage_delta(name: str, value: float) -> None:
+    # a failure probability whose interval coverage 1 - value is below 1.0:
+    # at or below 2**-54 the float 1 - value rounds to 1.0
+    _check_unit_interval(name, value)
+    if not 1.0 - value < 1.0:
+        raise ValueError(
+            f"{name} must exceed 2**-54, so that the coverage 1 - {name} is below 1.0, "
+            f"got {value!r}"
+        )
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -81,8 +94,10 @@ class CalibrationError(GpasError):
     """The search for the calibrated arrival index failed.
 
     Raised when no index below the configured cap reaches the target failure
-    probability, or when the failure probability is found to be non-monotone
-    over the probed range (the search relies on monotonicity).
+    probability, when the failure probability cannot be evaluated at a
+    probed index (a Gamma tail that does not converge), or when it is found
+    to be non-monotone over the probed range (the search relies on
+    monotonicity).
     """
 
 

@@ -34,7 +34,12 @@ from .core import (
     confidence_interval,
     exact_gpas,
 )
-from .errors import IterationCapError, _check_positive_finite, _check_unit_interval
+from .errors import (
+    IterationCapError,
+    _check_coverage_delta,
+    _check_positive_finite,
+    _check_unit_interval,
+)
 from .numerics import RngStream
 
 __all__ = [
@@ -127,7 +132,9 @@ class TpaReport:
 
     ``ratio_estimate = exp(r_hat2)`` and ``total_tpa_calls`` is the sum of
     counts consumed by both phases.  ``ci`` is the phase-2 exact interval
-    for r mapped through exp, at coverage 1 - delta.
+    for r mapped through exp, at coverage 1 - delta.  An exponential beyond
+    the float range (an argument above ln(DBL_MAX), about 709.78) is inf,
+    the IEEE result, in the ratio and in either endpoint.
     """
 
     r_hat1: float
@@ -136,6 +143,14 @@ class TpaReport:
     ratio_estimate: float
     ci: ConfidenceInterval
     total_tpa_calls: int
+
+
+def _exp(x: float) -> float:
+    # math.exp raises OverflowError where IEEE arithmetic gives inf
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def relative_error_transfer(epsilon: float, r: float) -> float:
@@ -180,12 +195,14 @@ def two_phase_from_source(
     at least 1 - delta.
 
     Raises:
+        ValueError: if epsilon is outside (0, 1), or delta outside
+            (2^-54, 1), where the interval's coverage 1 - delta rounds to 1.
         BudgetExceededError: if either phase exhausts its draw budget.
         CalibrationError: if no index up to the cap reaches a phase's
             precision.
     """
     _check_unit_interval("epsilon", epsilon)
-    _check_unit_interval("delta", delta)
+    _check_coverage_delta("delta", delta)
     source1 = make_source()
     first = exact_gpas(source1, epsilon, delta / 2.0, rng)
     eps2 = phase2_epsilon(epsilon, first.mu_hat)
@@ -193,15 +210,15 @@ def two_phase_from_source(
     second = exact_gpas(source2, eps2, delta / 2.0, rng)
     log_ci = confidence_interval(second, 1.0 - delta)
     ci = ConfidenceInterval(
-        lower=math.exp(log_ci.lower),
-        upper=math.exp(log_ci.upper),
+        lower=_exp(log_ci.lower),
+        upper=_exp(log_ci.upper),
         coverage=log_ci.coverage,
     )
     return TpaReport(
         r_hat1=first.mu_hat,
         r_hat2=second.mu_hat,
         epsilon2=eps2,
-        ratio_estimate=math.exp(second.mu_hat),
+        ratio_estimate=_exp(second.mu_hat),
         ci=ci,
         total_tpa_calls=source1.call_count + source2.call_count,
     )

@@ -21,12 +21,14 @@ collect its results with ``np.fromiter``, so no loop keeps one Python object
 per replicate.  The module also holds the fixed-sample Chernoff-calibrated
 baseline used as the comparison arm for call-count benchmarks.
 
-Each test rule is stated once.  The KS statistics and the chi-square test
-are scipy's; the exactness, coverage and two-phase checks share one
-binomial-frequency rule.  ``scipy.stats`` is imported only inside the three
-checks that use it (:func:`check_distribution_law`,
-:func:`check_scale_free_error` and :func:`poisson_chi_square_pvalue`), so
-importing this module, and through it the CLI, does not pay for loading it.
+Every check runs through one rule, :func:`_check`: below the replicates it
+needs (:data:`MIN_REPLICATES`, or more for a rare event) it is skipped and
+passes, with no statistic or threshold; otherwise it measures and reports
+its verdict.  A check states only its model constants, what it measures and
+how it compares.  Each test rule is stated once.  The KS statistics and the
+chi-square test are scipy's; the exactness, coverage and two-phase checks
+share one binomial-frequency rule.  ``scipy.stats`` is loaded on first use,
+so importing this module, and through it the CLI, does not pay for it.
 """
 
 from __future__ import annotations
@@ -79,6 +81,9 @@ MIN_REPLICATES = 100
 
 T = TypeVar("T")
 
+# what a check measures: (passed, statistic, threshold, detail)
+_Verdict = tuple[bool, float, float, str]
+
 # one record per replicate: the harnesses return the fields as array views
 _GPAS_RUN = np.dtype([("t_prime", np.float64), ("draws", np.int64)])
 _TWO_PHASE_RUN = np.dtype([("ratio", np.float64), ("calls", np.int64)])
@@ -101,6 +106,17 @@ class PropertyResult:
 # ---------------------------------------------------------------------------
 
 
+def _stats():
+    """``scipy.stats``, imported on first use.
+
+    It roughly doubles the package's import cost, so importing this module,
+    and through it the CLI, does not load it.
+    """
+    from scipy import stats
+
+    return stats
+
+
 def ks_critical_value(n: int, m: int | None = None) -> float:
     """Asymptotic Kolmogorov-Smirnov critical value at :data:`KS_SIGNIFICANCE`.
 
@@ -118,15 +134,13 @@ def poisson_chi_square_pvalue(counts: Sequence[int], mean: float) -> float:
     scipy's test of the pooled bins treats the mean as known, so degrees of
     freedom are bins - 1.
     """
-    # imported here: scipy.stats roughly doubles the package's import cost
-    from scipy import stats as _stats
-
     counts = np.asarray(counts, dtype=np.int64)
     n = counts.size
     top = int(counts.max()) + 1
     observed = np.bincount(counts, minlength=top + 1).astype(np.float64)
-    pmf = _stats.poisson.pmf(np.arange(top), mean)
-    expected = np.append(pmf, _stats.poisson.sf(top - 1, mean)) * n
+    stats = _stats()
+    pmf = stats.poisson.pmf(np.arange(top), mean)
+    expected = np.append(pmf, stats.poisson.sf(top - 1, mean)) * n
 
     # pool the sparse tails inward so the chi-square approximation is valid
     obs_bins: list[float] = []
@@ -144,7 +158,7 @@ def poisson_chi_square_pvalue(counts: Sequence[int], mean: float) -> float:
         exp_bins[-1] += acc_e
     if len(exp_bins) < 2:
         raise ValueError("not enough occupied bins for a chi-square fit")
-    return float(_stats.chisquare(obs_bins, exp_bins).pvalue)
+    return float(stats.chisquare(obs_bins, exp_bins).pvalue)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +286,24 @@ def chernoff_two_phase_calls(
 # ---------------------------------------------------------------------------
 
 
-def _underpowered(name: str, needed: int, got: int) -> PropertyResult:
-    return PropertyResult(
-        name=name,
-        passed=True,
-        skipped=True,
-        statistic=None,
-        threshold=None,
-        detail=f"insufficient replicates: needs >= {needed}, got {got}",
-    )
+def _check(
+    name: str,
+    needed: int,
+    replicates: int,
+    measure: Callable[[], _Verdict],
+) -> PropertyResult:
+    """The one rule of every check: skip below ``needed`` replicates, else measure.
+
+    Below ``needed`` the check is skipped: it passes, with no statistic or
+    threshold, so an underpowered check never fails the suite.  Otherwise
+    ``measure()`` runs the replicates and returns (passed, statistic,
+    threshold, detail).
+    """
+    if replicates < needed:
+        detail = f"insufficient replicates: needs >= {needed}, got {replicates}"
+        return PropertyResult(name, True, True, None, None, detail)
+    passed, statistic, threshold, detail = measure()
+    return PropertyResult(name, passed, False, statistic, threshold, detail)
 
 
 def _binomial_frequency(
@@ -293,129 +316,91 @@ def _binomial_frequency(
 ) -> PropertyResult:
     """The rule of every check on the frequency of an event of probability target.
 
-    The check is skipped below max(MIN_REPLICATES, ceil(30 / p)) replicates,
-    p the rarer outcome's probability, so that outcome is expected at least
-    30 times.  p is taken from target as written, in exact arithmetic: the
+    The check needs max(MIN_REPLICATES, ceil(30 / p)) replicates, p the
+    rarer outcome's probability, so that outcome is expected at least 30
+    times.  p is taken from target as written, in exact arithmetic: the
     float 1 - 0.9 is 0.09999999999999998, which would ask for 301 replicates
-    where the rule means 300.  Otherwise ``frequency()`` runs the
-    replicates, and its result must lie within 3 binomial sigma of target;
-    one-sided, it must only not exceed target + 3 sigma, which is then the
-    reported threshold.
+    where the rule means 300.  ``frequency()`` runs the replicates, and its
+    result must lie within 3 binomial sigma of target; one-sided, it must
+    only not exceed target + 3 sigma, which is then the reported threshold.
     """
     from fractions import Fraction
 
     written = Fraction(repr(target))
     needed = max(MIN_REPLICATES, math.ceil(30 / min(written, 1 - written)))
-    if replicates < needed:
-        return _underpowered(name, needed, replicates)
-    observed = frequency()
-    band = 3.0 * math.sqrt(target * (1.0 - target) / replicates)
-    if one_sided:
-        threshold = target + band
-        passed = observed <= threshold
-    else:
-        threshold = band
-        passed = abs(observed - target) <= band
-    return PropertyResult(
-        name=name,
-        passed=passed,
-        skipped=False,
-        statistic=observed,
-        threshold=threshold,
-        detail=detail,
-    )
+
+    def measure() -> _Verdict:
+        observed = frequency()
+        band = 3.0 * math.sqrt(target * (1.0 - target) / replicates)
+        if one_sided:
+            return observed <= target + band, observed, target + band, detail
+        return abs(observed - target) <= band, observed, band, detail
+
+    return _check(name, needed, replicates, measure)
 
 
 def check_distribution_law(
     replicates: int, seed: int, mu: float = 3.0, k: int = 100
 ) -> PropertyResult:
     """mu * T' matches Gamma(k, 1) by a KS test at the 0.001 level."""
-    name = f"gpas_arrival_law(mu={mu}, k={k})"
-    if replicates < MIN_REPLICATES:
-        return _underpowered(name, MIN_REPLICATES, replicates)
-    t_primes, _ = replicate_gpas(mu, k, replicates, seed)
-    # imported here: scipy.stats roughly doubles the package's import cost
-    from scipy import stats as _stats
 
-    # the Gamma(k, 1) CDF at x is the chi-square(2k) CDF at 2x, from Boost
-    statistic = float(
-        _stats.kstest(mu * t_primes, lambda x: chndtr(2.0 * x, 2.0 * k, 0.0)).statistic
-    )
-    threshold = ks_critical_value(replicates)
-    return PropertyResult(
-        name=name,
-        passed=statistic < threshold,
-        skipped=False,
-        statistic=statistic,
-        threshold=threshold,
-        detail=f"KS statistic vs Gamma({k}, 1) CDF over {replicates} replicates",
-    )
+    def measure() -> _Verdict:
+        t_primes, _ = replicate_gpas(mu, k, replicates, seed)
+        # the Gamma(k, 1) CDF at x is the chi-square(2k) CDF at 2x, from Boost
+        gamma_cdf = lambda x: chndtr(2.0 * x, 2.0 * k, 0.0)
+        statistic = float(_stats().kstest(mu * t_primes, gamma_cdf).statistic)
+        threshold = ks_critical_value(replicates)
+        detail = f"KS statistic vs Gamma({k}, 1) CDF over {replicates} replicates"
+        return statistic < threshold, statistic, threshold, detail
+
+    return _check(f"gpas_arrival_law(mu={mu}, k={k})", MIN_REPLICATES, replicates, measure)
 
 
 def check_scale_free_error(replicates: int, seed: int) -> PropertyResult:
     """Relative-error samples at two very different means are KS-indistinguishable."""
     mu_low, mu_high, k = 0.5, 10.0, 100
-    name = f"scale_free_relative_error(mu={mu_low} vs {mu_high}, k={k})"
-    if replicates < MIN_REPLICATES:
-        return _underpowered(name, MIN_REPLICATES, replicates)
-    low_t, _ = replicate_gpas(mu_low, k, replicates, seed)
-    high_t, _ = replicate_gpas(mu_high, k, replicates, seed, stream_offset=replicates)
-    err_low = (k - 1) / (mu_low * low_t) - 1.0
-    err_high = (k - 1) / (mu_high * high_t) - 1.0
-    # imported here: scipy.stats roughly doubles the package's import cost
-    from scipy import stats as _stats
 
-    statistic = float(_stats.ks_2samp(err_low, err_high, method="asymp").statistic)
-    threshold = ks_critical_value(replicates, replicates)
-    return PropertyResult(
-        name=name,
-        passed=statistic < threshold,
-        skipped=False,
-        statistic=statistic,
-        threshold=threshold,
-        detail=f"two-sample KS over {replicates} replicates per mean",
-    )
+    def measure() -> _Verdict:
+        low_t, _ = replicate_gpas(mu_low, k, replicates, seed)
+        high_t, _ = replicate_gpas(mu_high, k, replicates, seed, stream_offset=replicates)
+        err_low = (k - 1) / (mu_low * low_t) - 1.0
+        err_high = (k - 1) / (mu_high * high_t) - 1.0
+        statistic = float(_stats().ks_2samp(err_low, err_high, method="asymp").statistic)
+        threshold = ks_critical_value(replicates, replicates)
+        detail = f"two-sample KS over {replicates} replicates per mean"
+        return statistic < threshold, statistic, threshold, detail
+
+    name = f"scale_free_relative_error(mu={mu_low} vs {mu_high}, k={k})"
+    return _check(name, MIN_REPLICATES, replicates, measure)
 
 
 def check_unbiasedness(replicates: int, seed: int) -> PropertyResult:
     """Empirical mean of mu_hat sits in the 3-sigma CLT band around mu."""
     mu, k = 3.0, 50
-    name = f"unbiasedness(mu={mu}, k={k})"
-    if replicates < MIN_REPLICATES:
-        return _underpowered(name, MIN_REPLICATES, replicates)
-    t_primes, _ = replicate_gpas(mu, k, replicates, seed)
-    mu_hats = (k - 1) / t_primes
-    band = 3.0 * (mu / math.sqrt(k - 2)) / math.sqrt(replicates)
-    deviation = abs(float(mu_hats.mean()) - mu)
-    return PropertyResult(
-        name=name,
-        passed=deviation <= band,
-        skipped=False,
-        statistic=deviation,
-        threshold=band,
-        detail=f"|mean(mu_hat) - mu| vs 3-sigma band over {replicates} replicates",
-    )
+
+    def measure() -> _Verdict:
+        t_primes, _ = replicate_gpas(mu, k, replicates, seed)
+        deviation = abs(float(((k - 1) / t_primes).mean()) - mu)
+        band = 3.0 * (mu / math.sqrt(k - 2)) / math.sqrt(replicates)
+        detail = f"|mean(mu_hat) - mu| vs 3-sigma band over {replicates} replicates"
+        return deviation <= band, deviation, band, detail
+
+    return _check(f"unbiasedness(mu={mu}, k={k})", MIN_REPLICATES, replicates, measure)
 
 
 def check_running_time(replicates: int, seed: int) -> PropertyResult:
     """Mean draws lie in [k/mu - 3se, 1 + k/mu + 3se]."""
     mu, k = 2.0, 50
-    name = f"running_time_bound(mu={mu}, k={k})"
-    if replicates < MIN_REPLICATES:
-        return _underpowered(name, MIN_REPLICATES, replicates)
-    _, draws = replicate_gpas(mu, k, replicates, seed)
-    mean = float(draws.mean())
-    se = float(draws.std(ddof=1)) / math.sqrt(replicates)
-    bound = 1.0 + k / mu
-    passed = (k / mu - 3.0 * se) <= mean <= (bound + 3.0 * se)
-    return PropertyResult(
-        name=name,
-        passed=passed,
-        skipped=False,
-        statistic=mean,
-        threshold=bound,
-        detail=f"mean draws vs upper bound 1 + k/mu (se={se:.4f})",
-    )
+
+    def measure() -> _Verdict:
+        _, draws = replicate_gpas(mu, k, replicates, seed)
+        mean = float(draws.mean())
+        se = float(draws.std(ddof=1)) / math.sqrt(replicates)
+        bound = 1.0 + k / mu
+        passed = (k / mu - 3.0 * se) <= mean <= (bound + 3.0 * se)
+        return passed, mean, bound, f"mean draws vs upper bound 1 + k/mu (se={se:.4f})"
+
+    return _check(f"running_time_bound(mu={mu}, k={k})", MIN_REPLICATES, replicates, measure)
 
 
 def check_exactness(replicates: int, seed: int) -> PropertyResult:
@@ -455,55 +440,48 @@ def check_coverage(replicates: int, seed: int) -> PropertyResult:
 def check_tpa_poissonness(replicates: int, seed: int) -> PropertyResult:
     """Descent counts on a small grid fit Poisson(r) with unit dispersion."""
     width, height = 2, 2
-    name = f"tpa_poisson_counts({width}x{height})"
-    if replicates < MIN_REPLICATES:
-        return _underpowered(name, MIN_REPLICATES, replicates)
-    hist = build_histogram(LatticeGraph.grid(width, height))
-    family = IsingGibbsFamily(hist)
-    r = log_partition_function(hist, family.beta_outer) - log_partition_function(
-        hist, family.beta_inner
-    )
-    counts = np.fromiter(
-        replicate(partial(tpa_run, family), replicates, seed), dtype=np.int64, count=replicates
-    )
-    pvalue = poisson_chi_square_pvalue(counts, r)
-    dispersion = float(counts.var(ddof=1) / counts.mean())
-    # the [0.95, 1.05] window is calibrated for 1e5 descents; at smaller n
-    # the dispersion estimator itself has sd ~ sqrt(2/n), so widen to 3 sigma
-    window = max(0.05, 3.0 * math.sqrt(2.0 / replicates))
-    passed = pvalue >= CHI_SQUARE_SIGNIFICANCE and abs(dispersion - 1.0) <= window
-    return PropertyResult(
-        name=name,
-        passed=passed,
-        skipped=False,
-        statistic=pvalue,
-        threshold=CHI_SQUARE_SIGNIFICANCE,
-        detail=(
+
+    def measure() -> _Verdict:
+        hist = build_histogram(LatticeGraph.grid(width, height))
+        family = IsingGibbsFamily(hist)
+        r = log_partition_function(hist, family.beta_outer) - log_partition_function(
+            hist, family.beta_inner
+        )
+        counts = np.fromiter(
+            replicate(partial(tpa_run, family), replicates, seed),
+            dtype=np.int64,
+            count=replicates,
+        )
+        pvalue = poisson_chi_square_pvalue(counts, r)
+        dispersion = float(counts.var(ddof=1) / counts.mean())
+        # the [0.95, 1.05] window is calibrated for 1e5 descents; at smaller n
+        # the dispersion estimator itself has sd ~ sqrt(2/n), so widen to 3 sigma
+        window = max(0.05, 3.0 * math.sqrt(2.0 / replicates))
+        passed = pvalue >= CHI_SQUARE_SIGNIFICANCE and abs(dispersion - 1.0) <= window
+        detail = (
             f"chi-square fit vs Poisson({r:.4f}) plus dispersion "
             f"{dispersion:.4f} within {window:.4f} of 1 over {replicates} descents"
-        ),
-    )
+        )
+        return passed, pvalue, CHI_SQUARE_SIGNIFICANCE, detail
+
+    return _check(f"tpa_poisson_counts({width}x{height})", MIN_REPLICATES, replicates, measure)
 
 
 def check_transfer_bounds() -> PropertyResult:
     """Boundary algebra of the log-to-ratio precision transfer (deterministic)."""
-    name = "relative_error_transfer"
-    worst = 0.0
-    for r in (1.0, 5.0, 15.4):
-        for epsilon in (0.1, 0.2):
-            margin = relative_error_transfer(epsilon, r)
-            for r_hat in (r * (1.0 + margin), r * (1.0 - margin)):
-                ratio_error = abs(math.exp(r_hat) / math.exp(r) - 1.0)
-                worst = max(worst, ratio_error - epsilon)
-    passed = worst <= 1e-12
-    return PropertyResult(
-        name=name,
-        passed=passed,
-        skipped=False,
-        statistic=worst,
-        threshold=1e-12,
-        detail="max excess ratio error at transfer-boundary log estimates",
-    )
+
+    def measure() -> _Verdict:
+        worst = 0.0
+        for r in (1.0, 5.0, 15.4):
+            for epsilon in (0.1, 0.2):
+                margin = relative_error_transfer(epsilon, r)
+                for r_hat in (r * (1.0 + margin), r * (1.0 - margin)):
+                    ratio_error = abs(math.exp(r_hat) / math.exp(r) - 1.0)
+                    worst = max(worst, ratio_error - epsilon)
+        detail = "max excess ratio error at transfer-boundary log estimates"
+        return worst <= 1e-12, worst, 1e-12, detail
+
+    return _check("relative_error_transfer", 0, 0, measure)
 
 
 def check_two_phase_guarantee(replicates: int, seed: int) -> PropertyResult:

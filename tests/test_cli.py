@@ -13,7 +13,12 @@ from click.testing import CliRunner
 
 from gpas.cli import main
 from gpas.core import failure_probability
-from gpas.errors import _check_poisson_mean, _check_positive_finite, _check_unit_interval
+from gpas.errors import (
+    _check_coverage_delta,
+    _check_poisson_mean,
+    _check_positive_finite,
+    _check_unit_interval,
+)
 from gpas.numerics import POISSON_MEAN_MAX
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -82,6 +87,24 @@ def test_calibrate_search_cap_exits_3(runner):
     result = runner.invoke(main, args + ["2561"])
     assert result.exit_code == 0
     assert json.loads(result.stdout)["k"] == 2561
+
+
+def test_calibrate_tail_that_does_not_converge_exits_3(runner):
+    # the lower gamma series gives up at the first probe, k = 66348966011:
+    # a calibration error like a cap hit, one line and nothing on stdout
+    result = runner.invoke(
+        main, ["calibrate", "--epsilon", "1e-5", "--delta", "0.01", "--k-cap", "100000000000"]
+    )
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.count("error:") == 1
+    assert "k=66348966011, epsilon=1e-05" in result.stderr
+
+
+def test_calibrate_accepts_a_delta_whose_coverage_rounds_to_one(runner, schema):
+    # calibrate reports no interval, so 1 - delta rounding to 1.0 is no matter
+    payload = invoke_json(runner, schema, ["calibrate", "--epsilon", "0.2", "--delta", "1e-17"])
+    assert payload["f_k"] <= 1e-17 < payload["f_km1"]
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +418,17 @@ def test_bench_golden_fixture(runner, schema):
     jsonschema.validate(json.loads(result.stdout), schema)
 
 
+def test_bench_survives_a_log_ratio_beyond_the_float_range(runner, schema):
+    # r_hat2 lands above ln(DBL_MAX) ~ 709.78, whose exp is inf in the
+    # report; bench reports call counts only, so it exits 0 with its payload
+    payload = invoke_json(
+        runner, schema,
+        ["bench", "--mu", "750", "--epsilon", "0.3", "--delta", "0.99", "--replicates", "1"],
+    )
+    assert payload["mu"] == 750.0
+    assert payload["mean_total_calls"] > 0
+
+
 def test_bench_rejects_zero_mu(runner):
     result = runner.invoke(
         main, ["bench", "--epsilon", "0.2", "--delta", "0.2", "--mu", "0"]
@@ -503,6 +537,17 @@ _FLOAT_OPTIONS = {
         ["bench", "--epsilon", "0.2", "--delta", "0.1"], "mu",
         [_check_positive_finite, _check_poisson_mean],
     ),
+    # the commands that report an interval at coverage 1 - delta
+    "estimate-delta": (
+        ["estimate", "--mu", "2", "--epsilon", "0.2"], "delta", [_check_coverage_delta],
+    ),
+    "tpa-ising-delta": (
+        ["tpa-ising", "--width", "2", "--height", "2", "--epsilon", "0.2"], "delta",
+        [_check_coverage_delta],
+    ),
+    "bench-delta": (
+        ["bench", "--mu", "2", "--epsilon", "0.2"], "delta", [_check_coverage_delta],
+    ),
 }
 
 
@@ -513,6 +558,8 @@ _FLOAT_OPTIONS = {
           for value in ("0", "1", "nan", "inf", "-1")),
         *(("estimate-mu", value) for value in ("nan", "inf", "-1", _ABOVE_POISSON_LIMIT)),
         *(("bench-mu", value) for value in ("0", "nan", "inf", "-1", _ABOVE_POISSON_LIMIT)),
+        *((option, value) for option in ("estimate-delta", "tpa-ising-delta", "bench-delta")
+          for value in ("1e-17", repr(2.0**-54), "0", "nan")),
     ],
 )
 def test_float_options_reject_with_the_library_rule(runner, option, value):
@@ -526,6 +573,16 @@ def test_float_options_reject_with_the_library_rule(runner, option, value):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert str(library.value) in result.stderr
+
+
+def test_estimate_accepts_the_smallest_delta_with_coverage_below_one(runner, schema):
+    delta = math.nextafter(2.0**-54, 1.0)
+    payload = invoke_json(
+        runner, schema,
+        ["estimate", "--mu", "2", "--epsilon", "0.2", "--delta", repr(delta), "--seed", "0"],
+    )
+    assert payload["ci"]["coverage"] == 1.0 - 2.0**-53
+    assert payload["ci"]["lower"] < payload["mu_hat"] < payload["ci"]["upper"]
 
 
 def test_tpa_ising_csv_one_row_per_run(runner):

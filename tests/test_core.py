@@ -467,6 +467,15 @@ def test_calibrate_search_cap():
     assert calibrate(0.1, 1e-6, k_cap=np.int64(2561)).k == 2561
 
 
+def test_calibrate_tail_that_does_not_converge_is_a_calibration_error():
+    # the normal guess at eps 1e-5 is k = 66348966011, where the lower
+    # gamma series gives up: a calibration failure naming k and epsilon,
+    # not an ArithmeticError from the depths of the search
+    with pytest.raises(CalibrationError, match=r"k=66348966011, epsilon=1e-05") as info:
+        calibrate(1e-5, 0.01, k_cap=100_000_000_000)
+    assert isinstance(info.value.__cause__, ArithmeticError)
+
+
 @pytest.mark.parametrize("k_cap", [100.5, 1e7, 3.0, "10", 2, np.int64(2)])
 def test_calibrate_rejects_non_integer_or_small_k_cap(k_cap):
     # a float cap would otherwise fail deep inside the search, or pass
@@ -809,6 +818,25 @@ def test_confidence_intervals_nest_as_coverage_grows(k, t_prime, coverages):
     inner = confidence_interval(result, narrow)
     outer = confidence_interval(result, wide)
     assert 0.0 < outer.lower <= inner.lower <= inner.upper <= outer.upper
+
+
+@pytest.mark.parametrize("k", [2, 3, 10, 211, 5000, 88000, 1_500_000])
+def test_confidence_interval_endpoints_against_mpmath(k):
+    # each endpoint from its own tail, from 2^-54 (coverage 1 - 2^-53, the
+    # largest below 1) to 0.25; the lower one solved on the upper form
+    # Q(k, x) = 1 - tail, whose mpmath evaluation converges at every k here
+    mpmath = pytest.importorskip("mpmath")
+    result = GpasResult(k=k, t_prime=1.0, mu_hat=k - 1.0, draws_used=1)
+    with mpmath.workdps(40):
+        for coverage in [1.0 - 2.0**-53, 1.0 - 1e-12, 1.0 - 2e-6, 0.99, 0.9, 0.5]:
+            tail = 0.5 * (1.0 - coverage)
+            ci = confidence_interval(result, coverage)
+            for got, target in ((ci.lower, 1 - mpmath.mpf(tail)), (ci.upper, mpmath.mpf(tail))):
+                exact = mpmath.findroot(
+                    lambda x: mpmath.gammainc(k, x, mpmath.inf, regularized=True) - target,
+                    mpmath.mpf(got) * (1 + mpmath.mpf("1e-6")),
+                )
+                assert float(abs(got / exact - 1)) <= 1e-14, (k, tail, got)
 
 
 @pytest.mark.parametrize("coverage", [0.0, 1.0, -0.5, 2.0])

@@ -1,6 +1,7 @@
 """Descent law, precision transfer, and the two-phase guarantee."""
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -232,6 +233,26 @@ def test_two_phase_report_invariants():
     assert report.epsilon2 == phase2_epsilon(0.2, report.r_hat1)
     assert report.ci.coverage == pytest.approx(0.9)
     assert report.ci.lower < report.ratio_estimate < report.ci.upper
+
+
+def test_two_phase_report_overflows_to_inf():
+    # exp of an r_hat2 above ln(DBL_MAX) ~ 709.78 is inf, the IEEE result,
+    # not an OverflowError; the log-scale fields stay finite
+    rng = RngStream(SEED, 6)
+    report = two_phase_from_source(lambda: SyntheticPoissonSource(750.0, rng), 0.3, 0.99, rng)
+    assert report.r_hat2 > math.log(sys.float_info.max)
+    assert report.ratio_estimate == math.inf
+    assert report.ci.upper == math.inf
+    assert report.total_tpa_calls > 0
+
+
+@pytest.mark.parametrize("delta", [1e-17, 2.0**-54])
+def test_two_phase_rejects_a_delta_whose_coverage_rounds_to_one(delta):
+    # 1 - delta is 1.0 at and below 2^-54: rejected before any source is made
+    made = []
+    with pytest.raises(ValueError, match="delta must exceed 2\\*\\*-54"):
+        two_phase_from_source(made.append, 0.2, delta, RngStream(SEED, 7))
+    assert made == []
 
 
 def test_two_phase_phase1_budget_error():

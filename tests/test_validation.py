@@ -23,8 +23,12 @@ from gpas.validation import (
     check_coverage,
     check_distribution_law,
     check_exactness,
+    check_running_time,
+    check_scale_free_error,
+    check_tpa_poissonness,
     check_transfer_bounds,
     check_two_phase_guarantee,
+    check_unbiasedness,
     ks_critical_value,
     poisson_chi_square_pvalue,
     replicate,
@@ -151,15 +155,36 @@ def test_frequency_checks_run_from_the_count_they_state(check, needed):
     assert f"over {needed} runs" in at.detail
 
 
+# (check, replicates, the count it needs): the MIN_REPLICATES checks one below
+# it, and the frequency checks far below theirs
+_UNDERPOWERED_CASES = [
+    (check_distribution_law, 10, 100),
+    (check_exactness, 50, 600),
+    (check_coverage, 50, 300),
+    *((check, 99, 100) for check in (
+        check_distribution_law,
+        check_scale_free_error,
+        check_unbiasedness,
+        check_running_time,
+        check_tpa_poissonness,
+    )),
+]
+
+
 def test_underpowered_checks_are_skipped():
-    for result in (
-        check_distribution_law(10, SEED),
-        check_exactness(50, SEED),
-        check_coverage(50, SEED),
-    ):
-        assert result.skipped
-        assert result.passed  # skipped checks do not fail the suite
-        assert "insufficient replicates" in result.detail
+    # one rule skips every check: it passes (skipped checks do not fail the
+    # suite), with no statistic or threshold, and says what it needs; one
+    # replicate more and the check runs
+    for check, replicates, needed in _UNDERPOWERED_CASES:
+        result = check(replicates, SEED)
+        case = (check.__name__, replicates)
+        assert result.skipped and result.passed, case
+        assert result.statistic is None and result.threshold is None, case
+        assert result.detail == f"insufficient replicates: needs >= {needed}, got {replicates}"
+        if replicates == needed - 1:
+            ran = check(needed, SEED)
+            assert not ran.skipped and ran.passed, case
+            assert ran.statistic is not None and ran.threshold is not None, case
 
 
 def test_run_all_passes_at_default_scale():
