@@ -9,7 +9,10 @@ Five subcommands wire the library into reproducible experiments:
 * ``bench``      call-count statistics of the two-phase scheme.
 
 Standard output carries exclusively the machine-readable payload (JSON by
-default, CSV on request); progress and warnings go to standard error.  Every
+default, CSV on request); progress and warnings go to standard error.  A
+payload is the command's name, then every input option in the order the
+command declares them, then the command's results; one CSV row holds the
+flattened payload, unless the command gives its own rows.  Every
 command is deterministic under fixed flags and seed.  Exit codes: 0 success,
 1 validation failure, 2 usage or domain error, 3 runtime error (a draw
 budget, calibration cap or descent step cap exhausted).  The default seed
@@ -22,6 +25,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -99,14 +103,33 @@ _seed_option = click.option(
     envvar=SEED_ENV_VAR,
     help=f"Base RNG seed (env override: {SEED_ENV_VAR}).",
 )
-_format_option = click.option(
-    "--output-format", "output_format", type=click.Choice(["json", "csv"]),
-    default="json", show_default=True, help="Payload format on stdout.",
-)
-_output_option = click.option(
-    "--output", "output_path", type=click.Path(dir_okay=False, writable=True),
-    default=None, help="Write the payload to this file instead of stdout.",
-)
+
+
+def _store_output(ctx, param, value):
+    """Keep an output option out of the command's inputs, for :func:`_emit`.
+
+    An output file must go into an existing directory, checked before the
+    command computes anything.
+    """
+    if param.name == "output_path" and value is not None:
+        parent = os.path.dirname(value) or os.curdir
+        if not os.path.isdir(parent):
+            raise click.BadParameter(f"directory {parent!r} does not exist.")
+    ctx.meta[param.name] = value
+
+
+def _output_options(command):
+    """End a command with the two options that choose where its payload goes."""
+    command = click.option(
+        "--output", "output_path", type=click.Path(dir_okay=False, writable=True),
+        default=None, expose_value=False, callback=_store_output,
+        help="Write the payload to this file instead of stdout.",
+    )(command)
+    return click.option(
+        "--output-format", "output_format", type=click.Choice(["json", "csv"]),
+        default="json", show_default=True, expose_value=False, callback=_store_output,
+        help="Payload format on stdout.",
+    )(command)
 
 
 def _flatten(payload: dict) -> dict:
@@ -120,19 +143,33 @@ def _flatten(payload: dict) -> dict:
     return flat
 
 
-def _emit(payload: dict, rows: list[dict], output_format: str, output_path) -> None:
-    if output_format == "json":
+def _emit(results: dict, rows: list[dict] | None = None) -> None:
+    """Write the current command's payload: its name, inputs and results.
+
+    The inputs follow the order in which the command declares its options,
+    not the order they were given in, so CSV columns do not depend on the
+    command line.  ``rows`` default to the one flattened payload.
+    """
+    ctx = click.get_current_context()
+    payload = {"command": ctx.command.name}
+    payload.update(
+        (param.name, ctx.params[param.name])
+        for param in ctx.command.params if param.expose_value
+    )
+    payload.update(results)
+    if ctx.meta["output_format"] == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         buffer = io.StringIO()
+        rows = [_flatten(payload)] if rows is None else rows
         writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
         text = buffer.getvalue()
-    if output_path is None:
+    if ctx.meta["output_path"] is None:
         click.echo(text, nl=False)
     else:
-        with open(output_path, "w", encoding="utf-8") as handle:
+        with open(ctx.meta["output_path"], "w", encoding="utf-8") as handle:
             handle.write(text)
 
 
@@ -159,22 +196,11 @@ def main() -> None:
     "--k-cap", type=click.IntRange(min=3), default=DEFAULT_K_CAP, show_default=True,
     help="Abort the index search above this k.",
 )
-@_format_option
-@_output_option
-def cmd_calibrate(epsilon, delta, k_cap, output_format, output_path) -> None:
+@_output_options
+def cmd_calibrate(epsilon, delta, k_cap) -> None:
     """Calibrate the arrival index for an exact failure probability."""
     cal = calibrate(epsilon, delta, k_cap=k_cap)
-    payload = {
-        "command": "calibrate",
-        "epsilon": epsilon,
-        "delta": delta,
-        "k_cap": k_cap,
-        "k": cal.k,
-        "p": cal.p,
-        "f_k": cal.f_k,
-        "f_km1": cal.f_km1,
-    }
-    _emit(payload, [_flatten(payload)], output_format, output_path)
+    _emit({"k": cal.k, "p": cal.p, "f_k": cal.f_k, "f_km1": cal.f_km1})
 
 
 @main.command("estimate")
@@ -190,28 +216,14 @@ def cmd_calibrate(epsilon, delta, k_cap, output_format, output_path) -> None:
     show_default=True,
     help="Draw budget of the synthetic source.",
 )
-@_format_option
-@_output_option
-def cmd_estimate(mu, epsilon, delta, seed, max_calls, output_format, output_path) -> None:
+@_output_options
+def cmd_estimate(mu, epsilon, delta, seed, max_calls) -> None:
     """Run one calibrated estimate against a synthetic Poisson source."""
     rng = RngStream(seed)
     source = SyntheticPoissonSource(mu, rng, max_calls=max_calls)
     result = exact_gpas(source, epsilon, delta, rng)
     ci = confidence_interval(result, 1.0 - delta)
-    payload = {
-        "command": "estimate",
-        "mu": mu,
-        "epsilon": epsilon,
-        "delta": delta,
-        "seed": seed,
-        "max_calls": max_calls,
-        "k": result.k,
-        "t_prime": result.t_prime,
-        "mu_hat": result.mu_hat,
-        "draws_used": result.draws_used,
-        "ci": asdict(ci),
-    }
-    _emit(payload, [_flatten(payload)], output_format, output_path)
+    _emit({**asdict(result), "ci": asdict(ci)})
 
 
 @main.command("validate")
@@ -220,9 +232,8 @@ def cmd_estimate(mu, epsilon, delta, seed, max_calls, output_format, output_path
     help="Replicates per stochastic property.",
 )
 @_seed_option
-@_format_option
-@_output_option
-def cmd_validate(replicates, seed, output_format, output_path) -> None:
+@_output_options
+def cmd_validate(replicates, seed) -> None:
     """Run the statistical property suite; exit 1 on any failure."""
     click.echo(
         f"running property suite with {replicates} replicates, seed {seed}", err=True
@@ -234,15 +245,8 @@ def cmd_validate(replicates, seed, output_format, output_path) -> None:
         if res.skipped:
             click.echo(f"  warning: {res.name} skipped ({res.detail})", err=True)
     all_pass = all(res.passed for res in results)
-    payload = {
-        "command": "validate",
-        "replicates": replicates,
-        "seed": seed,
-        "all_pass": all_pass,
-        "properties": [asdict(res) for res in results],
-    }
-    rows = [asdict(res) for res in results]
-    _emit(payload, rows, output_format, output_path)
+    properties = [asdict(res) for res in results]
+    _emit({"all_pass": all_pass, "properties": properties}, rows=properties)
     if not all_pass:
         sys.exit(EXIT_VALIDATION_FAILURE)
 
@@ -294,27 +298,22 @@ def _single_run_fields(report, z_inner: float, delta: float) -> dict:
     "--max-tpa-calls", type=click.IntRange(min=1), default=DEFAULT_SOURCE_BUDGET,
     show_default=True, help="Per-phase descent budget.",
 )
-@_format_option
-@_output_option
+@_output_options
 def cmd_tpa_ising(
-    width, height, edge_file, epsilon, delta, seed, replicates,
-    max_tpa_calls, output_format, output_path,
+    width, height, edge_file, epsilon, delta, seed, replicates, max_tpa_calls
 ) -> None:
     """Estimate Z(1)/Z(0) for the Ising model on a small graph."""
-    if edge_file is not None:
-        if width is not None or height is not None:
-            raise click.UsageError("--edge-file excludes --width/--height")
-        try:
-            graph = LatticeGraph.from_edge_file(edge_file)
-        except (SizeExceededError, ValueError) as exc:
-            raise click.UsageError(str(exc)) from exc
-    else:
-        if width is None or height is None:
-            raise click.UsageError("either --width and --height or --edge-file is required")
-        try:
+    if edge_file is not None and (width is not None or height is not None):
+        raise click.UsageError("--edge-file excludes --width/--height")
+    if edge_file is None and (width is None or height is None):
+        raise click.UsageError("either --width and --height or --edge-file is required")
+    try:
+        if edge_file is None:
             graph = LatticeGraph.grid(width, height)
-        except SizeExceededError as exc:
-            raise click.UsageError(str(exc)) from exc
+        else:
+            graph = LatticeGraph.from_edge_file(edge_file)
+    except (SizeExceededError, ValueError) as exc:
+        raise click.UsageError(str(exc)) from exc
 
     hist = build_histogram(graph)
     family = IsingGibbsFamily(hist)
@@ -341,40 +340,29 @@ def cmd_tpa_ising(
         return _single_run_fields(report, z_inner, delta)
 
     runs = list(replicate(run, replicates, seed))
-
-    payload = {
-        "command": "tpa-ising",
-        "width": graph.width,
-        "height": graph.height,
-        "edge_file": edge_file,
-        "vertex_count": graph.vertex_count,
-        "epsilon": epsilon,
-        "delta": delta,
-        "seed": seed,
-        "replicates": replicates,
-        "max_tpa_calls": max_tpa_calls,
-        "oracle": oracle,
-        **runs[0],
-    }
+    aggregate = None
     if replicates > 1:
         totals = np.array([run["total_tpa_calls"] for run in runs], dtype=np.float64)
         within = sum(
             abs(run["ratio_estimate"] / math.exp(oracle["log_ratio"]) - 1.0) <= epsilon
             for run in runs
         )
-        payload["aggregate"] = {
+        aggregate = {
             "replicates": replicates,
             "mean_total_tpa_calls": float(totals.mean()),
             "stddev_total_tpa_calls": float(totals.std(ddof=1)),
             "within_epsilon_of_oracle": within,
         }
-        payload["runs"] = runs
-    else:
-        payload["aggregate"] = None
-        payload["runs"] = None
-
-    rows = [_flatten({**{"replicate": i}, **run}) for i, run in enumerate(runs)]
-    _emit(payload, rows, output_format, output_path)
+    _emit(
+        {
+            "vertex_count": graph.vertex_count,
+            "oracle": oracle,
+            **runs[0],
+            "aggregate": aggregate,
+            "runs": runs if replicates > 1 else None,
+        },
+        rows=[_flatten({"replicate": i, **run}) for i, run in enumerate(runs)],
+    )
 
 
 @main.command("bench")
@@ -389,9 +377,8 @@ def cmd_tpa_ising(
     help="Independent repetitions of the two-phase scheme.",
 )
 @_seed_option
-@_format_option
-@_output_option
-def cmd_bench(epsilon, delta, mu, replicates, seed, output_format, output_path) -> None:
+@_output_options
+def cmd_bench(epsilon, delta, mu, replicates, seed) -> None:
     """Mean and stddev of total calls of the two-phase scheme at a given mu."""
     click.echo(
         f"benchmarking {replicates} replicate(s) at mu={mu}, "
@@ -400,18 +387,11 @@ def cmd_bench(epsilon, delta, mu, replicates, seed, output_format, output_path) 
     )
     _, totals = replicate_two_phase(mu, epsilon, delta, replicates, seed)
     single = replicates == 1
-    payload = {
-        "command": "bench",
-        "epsilon": epsilon,
-        "delta": delta,
-        "mu": mu,
-        "replicates": replicates,
-        "seed": seed,
+    _emit({
         "mean_total_calls": float(totals.mean()),
         "stddev_total_calls": None if single else float(totals.std(ddof=1)),
         "stddev_note": "not applicable for a single replicate" if single else None,
-    }
-    _emit(payload, [_flatten(payload)], output_format, output_path)
+    })
 
 
 if __name__ == "__main__":

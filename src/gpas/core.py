@@ -296,9 +296,13 @@ def calibrate(epsilon: float, delta: float, k_cap: int = DEFAULT_K_CAP) -> Calib
                 ) from exc
         return probes[k]
 
-    # a guess beyond k_cap (infinite once delta / 2 underflows) starts at
+    # a guess beyond k_cap (infinite once delta / 2 underflows, or once
+    # |z| / epsilon passes about 1.34e154, where float ** raises) starts at
     # k_cap, so no probe runs far past the cap
-    guess = (float(ndtri(0.5 * delta)) / epsilon) ** 2
+    try:
+        guess = (float(ndtri(0.5 * delta)) / epsilon) ** 2
+    except OverflowError:
+        guess = math.inf
     offset = _last_offset.get(delta)
     if offset is not None and guess + offset < k_cap:
         start = max(3, math.ceil(guess + offset) - 1)

@@ -198,9 +198,9 @@ def test_validate_csv_one_row_per_property(runner):
         main, ["validate", "--replicates", "10", "--output-format", "csv"]
     )
     assert result.exit_code == 0
+    assert result.stdout.splitlines()[0] == "name,passed,skipped,statistic,threshold,detail"
     rows = list(csv.DictReader(io.StringIO(result.stdout)))
     assert len(rows) >= 8
-    assert {"name", "passed", "skipped", "detail"} <= set(rows[0].keys())
 
 
 def test_validate_failing_property_exits_1(runner, monkeypatch):
@@ -401,6 +401,11 @@ def test_bench_csv_row(runner):
          "--replicates", "2", "--output-format", "csv"],
     )
     assert result.exit_code == 0
+    # the command, its inputs in declared order, then its results
+    assert result.stdout.splitlines()[0] == (
+        "command,epsilon,delta,mu,replicates,seed,"
+        "mean_total_calls,stddev_total_calls,stddev_note"
+    )
     rows = list(csv.DictReader(io.StringIO(result.stdout)))
     assert len(rows) == 1
     assert float(rows[0]["mean_total_calls"]) > 0
@@ -447,6 +452,11 @@ _GRID_2X2 = ["tpa-ising", "--width", "2", "--height", "2", "--epsilon", "0.2",
         pytest.param(["estimate", "--mu", "2", *_TIGHT], id="estimate-k-cap"),
         pytest.param(["bench", "--mu", "2", "--replicates", "3", *_TIGHT],
                      id="bench-k-cap"),
+        # (ndtri(delta / 2) / epsilon) ** 2 overflows: the search starts at the cap
+        pytest.param(["calibrate", "--epsilon", "1e-160", "--delta", "0.1"],
+                     id="calibrate-guess-overflow"),
+        pytest.param(["estimate", "--mu", "2", "--epsilon", "1e-160", "--delta", "0.1"],
+                     id="estimate-guess-overflow"),
         pytest.param([*_GRID_2X2, "--max-tpa-calls", "20"], id="phase1-budget-20"),
         pytest.param([*_GRID_2X2, "--max-tpa-calls", "60"], id="phase1-budget-60"),
         pytest.param([*_GRID_2X2, "--max-tpa-calls", "200"], id="phase2-budget"),
@@ -593,6 +603,11 @@ def test_tpa_ising_csv_one_row_per_run(runner):
          "--output-format", "csv"],
     )
     assert result.exit_code == 0
+    # one row per run: its index, then the run's own fields, flattened
+    assert result.stdout.splitlines()[0] == (
+        "replicate,degenerate,diagnostic,ratio_estimate,z_outer_estimate,"
+        "r_hat1,r_hat2,epsilon2,ci_lower,ci_upper,ci_coverage,total_tpa_calls"
+    )
     rows = list(csv.DictReader(io.StringIO(result.stdout)))
     assert len(rows) == 3
     assert rows[0]["replicate"] == "0"
@@ -614,6 +629,74 @@ def test_output_file_keeps_stdout_clean(runner, tmp_path):
     assert result.stdout == ""
     payload = json.loads(target.read_text(encoding="utf-8"))
     assert payload["command"] == "calibrate"
+
+
+@pytest.mark.parametrize("name", ["missing/x.json", "missing/"])
+def test_output_into_a_missing_directory_is_a_usage_error(runner, tmp_path, monkeypatch, name):
+    import gpas.cli as cli_module
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    monkeypatch.setattr(cli_module, "calibrate", no_calibration)
+    result = runner.invoke(
+        main,
+        ["calibrate", "--epsilon", "0.2", "--delta", "0.1", "--output", f"{tmp_path}/{name}"],
+    )
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert "--output" in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, header",
+    [
+        pytest.param(
+            ["calibrate", "--epsilon", "0.2", "--delta", "0.01"],
+            "command,epsilon,delta,k_cap,k,p,f_k,f_km1",
+            id="calibrate",
+        ),
+        pytest.param(
+            ["estimate", "--mu", "2", "--epsilon", "0.2", "--delta", "0.1"],
+            "command,mu,epsilon,delta,seed,max_calls,"
+            "k,t_prime,mu_hat,draws_used,ci_lower,ci_upper,ci_coverage",
+            id="estimate",
+        ),
+    ],
+)
+def test_csv_header_is_the_command_its_inputs_then_its_results(runner, args, header):
+    result = runner.invoke(main, [*args, "--output-format", "csv"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[0] == header
+
+
+@pytest.mark.parametrize(
+    "args, permuted",
+    [
+        pytest.param(
+            ["estimate", "--mu", "2", "--epsilon", "0.2", "--delta", "0.1", "--seed", "3"],
+            ["estimate", "--seed", "3", "--delta", "0.1", "--epsilon", "0.2", "--mu", "2"],
+            id="estimate",
+        ),
+        pytest.param(
+            ["bench", "--epsilon", "0.3", "--delta", "0.2", "--mu", "5",
+             "--replicates", "3", "--seed", "1"],
+            ["bench", "--seed", "1", "--replicates", "3", "--mu", "5",
+             "--delta", "0.2", "--epsilon", "0.3"],
+            id="bench",
+        ),
+    ],
+)
+def test_payload_does_not_follow_the_argument_order(runner, args, permuted):
+    # inputs enter the payload in the order the command declares them, so
+    # neither the JSON nor the CSV columns depend on the command line
+    for output_format in ("json", "csv"):
+        given = runner.invoke(main, [*args, "--output-format", output_format])
+        command, *rest = permuted
+        reordered = runner.invoke(main, [command, "--output-format", output_format, *rest])
+        assert given.exit_code == reordered.exit_code == 0
+        assert given.stdout == reordered.stdout
 
 
 def test_stdout_carries_only_payload(runner):

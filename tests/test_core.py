@@ -476,6 +476,17 @@ def test_calibrate_tail_that_does_not_converge_is_a_calibration_error():
     assert isinstance(info.value.__cause__, ArithmeticError)
 
 
+def test_calibrate_guess_that_overflows_is_a_calibration_error():
+    # (ndtri(delta / 2) / epsilon) ** 2 raises OverflowError once
+    # |z| / epsilon passes about 1.34e154: the guess is infinite, so the
+    # search starts at the cap and stops there, or probes a tail that does
+    # not converge
+    with pytest.raises(CalibrationError, match=r"no k <= 10000000 reaches"):
+        calibrate(1e-160, 0.1)
+    with pytest.raises(CalibrationError, match=r"k=100000000000, epsilon=1e-160"):
+        calibrate(1e-160, 0.1, k_cap=100_000_000_000)
+
+
 @pytest.mark.parametrize("k_cap", [100.5, 1e7, 3.0, "10", 2, np.int64(2)])
 def test_calibrate_rejects_non_integer_or_small_k_cap(k_cap):
     # a float cap would otherwise fail deep inside the search, or pass
