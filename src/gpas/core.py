@@ -23,8 +23,10 @@ mu / sqrt(k - 2).  Three consequences are implemented here:
   coverage by dividing Gamma points, each from its own tail, by T'.
 
 The counts come from a :class:`PoissonSource`: a zero-argument ``draw``
-callable with a draw budget.  The expected number of counts consumed by a
-run is at most 1 + k / mu.
+callable with a draw budget.  The budget and the charge belong to one run:
+each run may draw up to ``max_calls`` counts, and ``call_count`` holds the
+counts its last run drew.  The expected number of counts consumed by a run
+is at most 1 + k / mu.
 """
 
 from __future__ import annotations
@@ -85,12 +87,12 @@ class PoissonSource:
     """Stream of iid nonnegative integer counts with a common unknown mean.
 
     ``draw`` is a zero-argument callable that returns the next count.  The
-    source adds the ``max_calls`` budget and ``call_count``, the counts
-    drawn so far; :func:`gpas`, the only consumer, calls ``draw``, checks
-    the budget before each count and charges ``call_count`` when it stops.
-    The budget is the guard against a mean of (nearly) zero, where a
-    sequential stopping rule would never accumulate enough arrivals to
-    terminate.
+    source adds ``max_calls``, the budget of counts one run may draw, and
+    ``call_count``, the counts its last run drew; :func:`gpas`, the only
+    consumer, calls ``draw``, stops at the budget and sets ``call_count``
+    when it stops.  Each run starts with the whole budget.  The budget is
+    the guard against a mean of (nearly) zero, where a sequential stopping
+    rule would never accumulate enough arrivals to terminate.
 
     A source is single-owner state: one estimator run at a time.
     """
@@ -118,7 +120,6 @@ class SyntheticPoissonSource(PoissonSource):
     ) -> None:
         _check_poisson_mean("mu", mu)
         super().__init__(partial(sample_poisson, rng, mu), max_calls=max_calls)
-        self.mu = mu
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,9 @@ def gpas(source: PoissonSource, k: int, rng: RngStream) -> GpasResult:
 
     The returned ``mu_hat`` is distributed inverse-gamma with shape ``k``
     and scale ``(k - 1) mu``; the expected number of draws is at most
-    1 + k / mu.  The run charges the source: it draws at most
-    ``max_calls - call_count`` counts and adds the number drawn to
-    ``call_count``, also when it raises; a draw that raises is not charged,
-    and a spent budget raises before drawing again.
+    1 + k / mu.  The run draws at most ``source.max_calls`` counts and sets
+    ``source.call_count`` to the number drawn, also when it raises: the
+    budget when it runs out, and the counts before a draw that raises.
 
     Raises:
         ValueError: if ``k`` is not an integer >= 2 (the estimate's mean
@@ -186,26 +186,25 @@ def gpas(source: PoissonSource, k: int, rng: RngStream) -> GpasResult:
     """
     _check_integer("k", k, 2)
     # the budget bounds the loop, so a count costs only the draw, a sum and
-    # one test; call_count is settled once, however the run ends
+    # one test; call_count is set once, however the run ends
     draw = source.draw
-    remaining = max(0, source.max_calls - source.call_count)
     arrivals = 0
     drawn = 0  # counts drawn so far; a draw that raises is not among them
     try:
-        for drawn in range(remaining):
+        for drawn in range(source.max_calls):
             count = draw()
             arrivals += count
             if arrivals >= k:
                 break
         else:
-            drawn = remaining
+            drawn = source.max_calls
             raise BudgetExceededError(
                 f"count source exhausted its budget of {source.max_calls} draws "
                 "(is the mean 0, or the budget too small?)"
             )
         drawn += 1
     finally:
-        source.call_count += drawn
+        source.call_count = drawn
     # the k-th point is the within-th of the last interval's count points
     within = k - (arrivals - count)
     a, b = within, count - within + 1

@@ -92,7 +92,7 @@ def _check_vertex_count(vertex_count: int) -> None:
 
 @dataclass(frozen=True)
 class LatticeGraph:
-    """Undirected simple graph, optionally with grid provenance.
+    """Undirected simple graph.
 
     ``grid`` builds the 4-neighbor width x height lattice with free
     boundary, which has w(h-1) + h(w-1) edges; ``from_edge_file`` reads one
@@ -103,8 +103,6 @@ class LatticeGraph:
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    width: int | None = None
-    height: int | None = None
 
     def __post_init__(self) -> None:
         _check_vertex_count(self.vertex_count)
@@ -135,12 +133,7 @@ class LatticeGraph:
                     edges.append((v, v + 1))
                 if row + 1 < height:
                     edges.append((v, v + width))
-        return cls(
-            vertex_count=width * height,
-            edges=tuple(edges),
-            width=width,
-            height=height,
-        )
+        return cls(vertex_count=width * height, edges=tuple(edges))
 
     @classmethod
     def from_edge_file(cls, path) -> "LatticeGraph":

@@ -25,7 +25,6 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 from .core import (
     DEFAULT_SOURCE_BUDGET,
@@ -180,16 +179,18 @@ def phase2_epsilon(epsilon: float, r_hat1: float) -> float:
 
 
 def two_phase_from_source(
-    make_source: Callable[[], PoissonSource],
+    source: PoissonSource,
     epsilon: float,
     delta: float,
     rng: RngStream,
 ) -> TpaReport:
     """Two-phase (epsilon, delta)-approximation of exp(r) from Poisson(r) counts.
 
-    ``make_source`` is invoked once per phase so each phase gets a fresh
-    draw budget.  Phase 1 estimates r to within epsilon at confidence
-    delta/2; phase 2 re-estimates it at the transferred precision
+    Both phases draw from ``source``.  A budget and a charge belong to one
+    run, so each phase may draw up to ``source.max_calls`` counts, the total
+    is the sum of the phases' ``draws_used``, and ``source.call_count`` is
+    phase 2's charge afterwards.  Phase 1 estimates r to within epsilon at
+    confidence delta/2; phase 2 re-estimates it at the transferred precision
     :func:`phase2_epsilon` and confidence delta/2.  By the union bound,
     exp(r_hat2) is within a factor (1 +- epsilon) of exp(r) with probability
     at least 1 - delta.
@@ -203,11 +204,9 @@ def two_phase_from_source(
     """
     _check_unit_interval("epsilon", epsilon)
     _check_coverage_delta("delta", delta)
-    source1 = make_source()
-    first = exact_gpas(source1, epsilon, delta / 2.0, rng)
+    first = exact_gpas(source, epsilon, delta / 2.0, rng)
     eps2 = phase2_epsilon(epsilon, first.mu_hat)
-    source2 = make_source()
-    second = exact_gpas(source2, eps2, delta / 2.0, rng)
+    second = exact_gpas(source, eps2, delta / 2.0, rng)
     log_ci = confidence_interval(second, 1.0 - delta)
     ci = ConfidenceInterval(
         lower=_exp(log_ci.lower),
@@ -220,7 +219,7 @@ def two_phase_from_source(
         epsilon2=eps2,
         ratio_estimate=_exp(second.mu_hat),
         ci=ci,
-        total_tpa_calls=source1.call_count + source2.call_count,
+        total_tpa_calls=first.draws_used + second.draws_used,
     )
 
 
@@ -231,10 +230,9 @@ def two_phase_scheme(
     rng: RngStream,
     max_calls: int = DEFAULT_SOURCE_BUDGET,
 ) -> TpaReport:
-    """Two-phase ratio approximation driven by descents on ``family``."""
+    """Two-phase ratio approximation driven by descents on ``family``.
 
-    def make_source() -> PoissonSource:
-        # one descent per count
-        return PoissonSource(partial(tpa_run, family, rng), max_calls=max_calls)
-
-    return two_phase_from_source(make_source, epsilon, delta, rng)
+    One descent is one count; ``max_calls`` is each phase's descent budget.
+    """
+    source = PoissonSource(partial(tpa_run, family, rng), max_calls=max_calls)
+    return two_phase_from_source(source, epsilon, delta, rng)

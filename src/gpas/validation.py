@@ -202,9 +202,7 @@ def replicate_two_phase(
     """
 
     def run(rng: RngStream) -> tuple[float, int]:
-        report = two_phase_from_source(
-            lambda: SyntheticPoissonSource(mu, rng), epsilon, delta, rng
-        )
+        report = two_phase_from_source(SyntheticPoissonSource(mu, rng), epsilon, delta, rng)
         return report.ratio_estimate, report.total_tpa_calls
 
     runs = np.fromiter(

@@ -110,32 +110,43 @@ def test_gpas_budget_guards_zero_mean():
 
 
 def test_source_call_count_increments_by_one():
-    # gpas charges one call per count it draws, and a second run on the same
-    # source adds to the first: counts 3 | 0, 7
+    # gpas charges one call per count it draws, and call_count holds the last
+    # run's charge, not a running total: counts 3 | 0, 7
     source = scripted_source([3, 0, 7])
     assert source.call_count == 0
     assert gpas(source, 2, RngStream(SEED)).draws_used == 1
     assert source.call_count == 1
     assert gpas(source, 5, RngStream(SEED)).draws_used == 2
+    assert source.call_count == 2
+
+
+def test_gpas_budget_and_charge_belong_to_one_run():
+    # a budget of 3 covers each of two runs of 3 and 2 counts, though not
+    # their sum; each run's charge replaces the last, and a third run that
+    # needs more stops at the budget
+    drawn = []
+    counts = iter([0, 1, 3] + [1, 4] + [0, 0, 0, 0])
+
+    def draw():
+        drawn.append(next(counts))
+        return drawn[-1]
+
+    source = PoissonSource(draw, max_calls=3)
+    first = gpas(source, 3, RngStream(SEED))
+    assert first.draws_used == source.call_count == 3
+    second = gpas(source, 5, RngStream(SEED))
+    assert second.draws_used == source.call_count == 2
+    with pytest.raises(BudgetExceededError, match="budget of 3 draws"):
+        gpas(source, 2, RngStream(SEED))
     assert source.call_count == 3
+    assert len(drawn) == 3 + 2 + 3
 
 
-def test_gpas_budget_spans_runs():
-    # the budget is the source's, not the run's: a spent source raises before
-    # drawing again, and call_count stays at the budget
-    rng = RngStream(SEED, 5)
-    source = SyntheticPoissonSource(0.0, rng, max_calls=10)
-    for _ in range(2):
-        with pytest.raises(BudgetExceededError, match="budget of 10 draws"):
-            gpas(source, 5, rng)
-        assert source.call_count == 10
-
-
-@pytest.mark.parametrize("counts,k", [([5], 2), ([0, 1, 3], 3), ([2, 0, 0, 1, 4], 4)])
+@pytest.mark.parametrize("counts,k", [([0, 5], 2), ([0, 1, 3], 3), ([2, 0, 0, 1, 4], 4)])
 def test_gpas_budget_boundary(counts, k):
     # a budget of exactly the counts the run needs suffices and is charged in
-    # full; with one count less left the run draws what is left and raises
-    # before the count that would have ended it
+    # full; a budget one count smaller draws it all and raises before the
+    # count that would have ended the run
     needed = len(counts)
     source = scripted_source(counts)
     source.max_calls = needed
@@ -149,11 +160,10 @@ def test_gpas_budget_boundary(counts, k):
         drawn.append(counts[len(drawn)])
         return drawn[-1]
 
-    short = PoissonSource(draw, max_calls=needed)
-    short.call_count = 1  # an earlier run's count
-    with pytest.raises(BudgetExceededError, match=f"budget of {needed} draws"):
+    short = PoissonSource(draw, max_calls=needed - 1)
+    with pytest.raises(BudgetExceededError, match=f"budget of {needed - 1} draws"):
         gpas(short, k, RngStream(SEED))
-    assert short.call_count == needed
+    assert short.call_count == needed - 1
     assert drawn == counts[:-1]
 
 

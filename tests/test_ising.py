@@ -103,6 +103,9 @@ def test_grid_rejects_non_integer_dimensions_by_name(width, height, name):
 
 def test_grid_accepts_numpy_integer_dimensions():
     assert LatticeGraph.grid(np.int64(2), np.int32(3)) == LatticeGraph.grid(2, 3)
+    # a grid is its vertex count and edges, with no record of its shape
+    edges = ((0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5))
+    assert LatticeGraph.grid(2, 3) == LatticeGraph(6, edges)
 
 
 def test_vertex_budget_enforced():

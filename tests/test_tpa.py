@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from gpas import tpa
-from gpas.core import PoissonSource, SyntheticPoissonSource, gpas
+from gpas.core import PoissonSource, SyntheticPoissonSource, exact_gpas, gpas
 from gpas.errors import BudgetExceededError, IterationCapError
 from gpas.ising import IsingGibbsFamily, LatticeGraph, build_histogram
-from gpas.numerics import RngStream
+from gpas.numerics import RngStream, sample_poisson
 from gpas.tpa import (
     NestedGibbsFamily,
     phase2_epsilon,
@@ -135,7 +135,8 @@ def test_tpa_run_rejects_invalid_hamiltonian(bad):
 
 
 def test_tpa_source_counts_calls(monkeypatch):
-    # every count gpas charges is one descent, over two runs on one source
+    # every count gpas charges is one descent, over two runs on one source;
+    # call_count holds each run's own charge
     descents = []
 
     def counted(family, rng):
@@ -148,7 +149,8 @@ def test_tpa_source_counts_calls(monkeypatch):
     first = gpas(source, 30, rng)
     assert source.call_count == first.draws_used == len(descents)
     second = gpas(source, 30, rng)
-    assert source.call_count == first.draws_used + second.draws_used == len(descents)
+    assert source.call_count == second.draws_used
+    assert first.draws_used + second.draws_used == len(descents)
 
 
 def test_two_phase_scheme_runs_one_descent_per_charged_count(monkeypatch):
@@ -170,6 +172,49 @@ def test_two_phase_scheme_runs_one_descent_per_charged_count(monkeypatch):
     report = run()
     assert report == expected
     assert len(descents) == report.total_tpa_calls > 0
+
+
+def test_two_phase_scheme_draws_h_once_per_step_of_each_descent(monkeypatch):
+    # on the 3x3 grid at three seeds: the descents of both phases equal
+    # total_tpa_calls, and a descent that counts c steps draws H c + 1 times,
+    # the last draw being the step that ends it
+    family = RecordingFamily(IsingGibbsFamily(build_histogram(LatticeGraph.grid(3, 3))))
+    descents = []
+
+    def counted(family, rng):
+        before = len(family.betas)
+        count = tpa_run(family, rng)
+        descents.append((count, len(family.betas) - before))
+        return count
+
+    monkeypatch.setattr(tpa, "tpa_run", counted)
+    for seed in range(3):
+        descents.clear()
+        report = two_phase_scheme(family, 0.2, 0.1, RngStream(seed))
+        assert len(descents) == report.total_tpa_calls > 0
+        assert all(draws == count + 1 for count, draws in descents)
+
+
+def test_replicate_two_phase_draws_one_poisson_count_per_reported_call(monkeypatch):
+    # every call a synthetic replicate reports is one call of core's
+    # sample_poisson, and counting them changes nothing
+    import gpas.core as core_module
+
+    def run():
+        return replicate_two_phase(15.4, 0.2, 0.01, 20, SEED)
+
+    expected = run()
+    calls = []
+
+    def counted(rng, mu):
+        calls.append(mu)
+        return sample_poisson(rng, mu)
+
+    monkeypatch.setattr(core_module, "sample_poisson", counted)
+    ratios, totals = run()
+    assert np.array_equal(ratios, expected[0])
+    assert np.array_equal(totals, expected[1])
+    assert len(calls) == totals.sum() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +262,24 @@ def test_phase2_epsilon_clamps_below_one():
 # ---------------------------------------------------------------------------
 
 
-def test_two_phase_report_invariants():
-    mu = 4.0
+def test_two_phase_report_invariants(monkeypatch):
+    # both phases draw from the one source, each charging its own run, and
+    # the total is the sum of the phases' draws
     rng = RngStream(SEED, 3)
-    sources = []
+    source = SyntheticPoissonSource(4.0, rng)
+    phases = []
 
-    def make_source():
-        sources.append(SyntheticPoissonSource(mu, rng))
-        return sources[-1]
+    def recorded(phase_source, *args):
+        result = exact_gpas(phase_source, *args)
+        phases.append((phase_source, result.draws_used, phase_source.call_count))
+        return result
 
-    report = two_phase_from_source(make_source, 0.2, 0.1, rng)
-    assert len(sources) == 2
+    monkeypatch.setattr(tpa, "exact_gpas", recorded)
+    report = two_phase_from_source(source, 0.2, 0.1, rng)
+    assert [phase[0] for phase in phases] == [source, source]
+    assert all(used == charged for _, used, charged in phases)
+    assert report.total_tpa_calls == phases[0][1] + phases[1][1]
     assert report.ratio_estimate == math.exp(report.r_hat2)
-    assert report.total_tpa_calls == sources[0].call_count + sources[1].call_count
     assert report.epsilon2 == phase2_epsilon(0.2, report.r_hat1)
     assert report.ci.coverage == pytest.approx(0.9)
     assert report.ci.lower < report.ratio_estimate < report.ci.upper
@@ -239,7 +289,7 @@ def test_two_phase_report_overflows_to_inf():
     # exp of an r_hat2 above ln(DBL_MAX) ~ 709.78 is inf, the IEEE result,
     # not an OverflowError; the log-scale fields stay finite
     rng = RngStream(SEED, 6)
-    report = two_phase_from_source(lambda: SyntheticPoissonSource(750.0, rng), 0.3, 0.99, rng)
+    report = two_phase_from_source(SyntheticPoissonSource(750.0, rng), 0.3, 0.99, rng)
     assert report.r_hat2 > math.log(sys.float_info.max)
     assert report.ratio_estimate == math.inf
     assert report.ci.upper == math.inf
@@ -248,38 +298,39 @@ def test_two_phase_report_overflows_to_inf():
 
 @pytest.mark.parametrize("delta", [1e-17, 2.0**-54])
 def test_two_phase_rejects_a_delta_whose_coverage_rounds_to_one(delta):
-    # 1 - delta is 1.0 at and below 2^-54: rejected before any source is made
-    made = []
+    # 1 - delta is 1.0 at and below 2^-54: rejected before any count is drawn
+    drawn = []
+
+    def draw():
+        drawn.append(1)
+        return 1
+
     with pytest.raises(ValueError, match="delta must exceed 2\\*\\*-54"):
-        two_phase_from_source(made.append, 0.2, delta, RngStream(SEED, 7))
-    assert made == []
+        two_phase_from_source(PoissonSource(draw), 0.2, delta, RngStream(SEED, 7))
+    assert drawn == []
 
 
 def test_two_phase_phase1_budget_error():
     # a zero mean spends phase 1's budget: a plain budget error, not a
-    # verdict that the ratio is 1
-    rng = RngStream(SEED, 4)
-    sources = []
+    # verdict that the ratio is 1, and phase 2 never draws
+    drawn = []
 
-    def make_source():
-        sources.append(SyntheticPoissonSource(0.0, rng, max_calls=100))
-        return sources[-1]
+    def draw():
+        drawn.append(0)
+        return 0
 
     with pytest.raises(BudgetExceededError, match="budget of 100 draws"):
-        two_phase_from_source(make_source, 0.2, 0.1, rng)
-    assert len(sources) == 1
+        two_phase_from_source(PoissonSource(draw, max_calls=100), 0.2, 0.1, RngStream(SEED, 4))
+    assert len(drawn) == 100
 
 
 def test_two_phase_phase2_budget_propagates():
     # a budget big enough for phase 1 but not phase 2 surfaces as the
     # same budget error
     rng = RngStream(SEED, 5)
-
-    def make_source():
-        return SyntheticPoissonSource(10.0, rng, max_calls=30)
-
-    with pytest.raises(BudgetExceededError):
-        two_phase_from_source(make_source, 0.2, 0.1, rng)
+    source = SyntheticPoissonSource(10.0, rng, max_calls=30)
+    with pytest.raises(BudgetExceededError, match="budget of 30 draws"):
+        two_phase_from_source(source, 0.2, 0.1, rng)
 
 
 @pytest.mark.slow
@@ -302,9 +353,7 @@ def test_two_phase_ci_coverage_is_exact():
     ratio = math.exp(mu)
 
     def covers(rng):
-        ci = two_phase_from_source(
-            lambda: SyntheticPoissonSource(mu, rng), epsilon, delta, rng
-        ).ci
+        ci = two_phase_from_source(SyntheticPoissonSource(mu, rng), epsilon, delta, rng).ci
         assert ci.coverage == pytest.approx(1.0 - delta)
         return ci.lower <= ratio <= ci.upper
 
