@@ -343,9 +343,10 @@ def _cell_guide(hist: HamiltonianHistogram, j: int) -> array:
 def sample_hamiltonian(hist: HamiltonianHistogram, beta: float, rng: RngStream) -> int:
     """Draw H(X) for X ~ Gibbs(beta): level h w.p. counts[h] e^{beta h} / Z(beta).
 
-    Inverts one uniform u: the answer is the first occupied level whose
-    cumulative weight exceeds u times the total, with weights exponentiated
-    against the peak log weight so no beta overflows.
+    Inverts one uniform u, taken with ``next(rng.uniforms)``: any stream
+    that provides a ``uniforms`` iterator will do.  The answer is the first
+    occupied level whose cumulative weight exceeds u times the total, with
+    weights exponentiated against the peak log weight so no beta overflows.
 
     Most draws skip that computation.  On the grid b_j = j * step for
     0 <= j <= L (step a power of two, so a beta in [0, b_L] lies exactly in
@@ -372,7 +373,7 @@ def sample_hamiltonian(hist: HamiltonianHistogram, beta: float, rng: RngStream) 
     """
     x = beta * hist._grid_scale
     if 0.0 <= x <= _GRID_TOP:
-        u = rng.next_uniform()
+        u = next(rng.uniforms)
         j = floor(x) if x < _GRID_TOP else _GRID_LIMIT - 1
         level = (hist._guides[j] or _cell_guide(hist, j))[int(u * _GUIDE_SIZE)]
         if level >= 0:
@@ -382,7 +383,7 @@ def sample_hamiltonian(hist: HamiltonianHistogram, beta: float, rng: RngStream) 
         if index == bisect_right(tables[j + 1], u + _TABLE_MARGIN):
             return hist._level_values[index]
     elif isfinite(beta):
-        u = rng.next_uniform()
+        u = next(rng.uniforms)
     else:
         raise ValueError(f"beta must be finite, got {beta!r}")
     cumulative = _cumulative_weights(hist, beta)

@@ -2,12 +2,12 @@
 
 Everything stochastic in this package is driven by :class:`RngStream`, a
 seedable stream addressed by a ``(seed, stream_id)`` pair.  Uniforms
-(:meth:`RngStream.next_uniform`) and Bernoulli draws come from the stream's
-buffered uniforms, Beta draws straight from its underlying numpy generator,
-and Poisson counts from buffered counts of one mean, drawn from a Philox
-substream of their own.  The same pair and the same sequence of calls
-reproduce the same draws within one numpy version, and independent replicates
-run on distinct stream ids.
+(:attr:`RngStream.uniforms`, or :meth:`RngStream.next_uniform`) and Bernoulli
+draws come from the stream's buffered uniforms, Beta draws straight from its
+underlying numpy generator, and Poisson counts from buffered counts of one
+mean, drawn from a Philox substream of their own.  The same pair and the
+same sequence of calls reproduce the same draws within one numpy version, and
+independent replicates run on distinct stream ids.
 
 The deterministic side supplies exact Gamma tail probabilities and quantiles
 to the calibration and confidence-interval code: the regularized lower
@@ -19,6 +19,7 @@ quantiles from Boost's inverse chi-square CDF, through ``scipy.special``.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 
 import numpy as np
 from scipy import special
@@ -220,6 +221,15 @@ def gamma_quantile(shape: float, q: float) -> float:
 # ones amortize generator overhead.
 _BUFFER_SCHEDULE = (64, 256, 1024, 4096, 16384)
 
+
+def _uniform_blocks(gen: np.random.Generator):
+    # one Generator.random block per size of the schedule, then blocks of the
+    # last size forever; it holds the generator, not the stream, so a stream
+    # is freed without waiting for the cycle collector
+    for size in chain(_BUFFER_SCHEDULE, repeat(_BUFFER_SCHEDULE[-1])):
+        yield gen.random(size).tolist()
+
+
 # Counts of one mean are refilled in blocks that double from the first size
 # up to the cap.  Their generator is keyed like the stream's own and starts
 # at this counter, 2^255 blocks past the stream's start, so the two never
@@ -235,11 +245,16 @@ class RngStream:
     Backed by the Philox counter-based generator keyed directly with the
     ``(seed, stream_id)`` pair.  Distinct keys yield statistically
     independent sequences (a documented property of that generator family),
-    each with period 2^256.  :meth:`next_uniform` pops uniforms from an
-    iterator over a block of ``Generator.random`` draws, and draws the next
-    block (64, 256, 1024, 4096, then 16384 values) only when a call finds
-    the current one spent.  The Beta sampler of this module draws from the
-    same generator, so a refill and a sampler call each advance it.
+    each with period 2^256.  Uniforms come from :attr:`uniforms`, one
+    iterator that chains blocks of ``Generator.random`` draws (64, 256,
+    1024, 4096, then 16384 values); :meth:`next_uniform` is
+    ``next(rng.uniforms)``, and a hot loop calls ``next`` on the iterator
+    itself, which serves a buffered uniform with no Python frame.  The chain
+    is lazy: it draws the next block only when a draw finds the current one
+    spent.  The Beta sampler of this module draws from the same generator,
+    so a refill and a sampler call each advance it, and the laziness keeps
+    them in the order of the calls: the same calls give the same draws
+    through either access path.
 
     Poisson counts come from a substream of their own: a second Philox
     generator with the same key, started at counter ``(0, 0, 0, 2^63)``
@@ -258,11 +273,13 @@ class RngStream:
     within one numpy version.
 
     A stream is single-owner mutable state: never share one instance across
-    threads.  Run concurrent replicates on distinct stream ids instead.
+    threads.  Run concurrent replicates on distinct stream ids instead.  The
+    uniforms iterator holds a Python generator, so a stream cannot be
+    pickled or copied; build a new one from its ``(seed, stream_id)``.
     """
 
     __slots__ = (
-        "seed", "stream_id", "_gen", "_next_buffered", "_refills",
+        "seed", "stream_id", "_gen", "uniforms",
         "_count_gen", "_next_count", "_count_block", "_count_mu",
     )
 
@@ -272,9 +289,7 @@ class RngStream:
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._gen = np.random.Generator(np.random.Philox(key=self._key()))
-        # __next__ of an iterator over the current block of uniforms
-        self._next_buffered = iter(()).__next__
-        self._refills = 0
+        self.uniforms = chain.from_iterable(_uniform_blocks(self._gen))
         # the count substream, built by the first count
         self._count_gen = None
         # __next__ of an iterator over the current block of counts of
@@ -288,13 +303,7 @@ class RngStream:
 
     def next_uniform(self) -> float:
         """Next uniform variate in [0, 1)."""
-        try:
-            return self._next_buffered()
-        except StopIteration:
-            size = _BUFFER_SCHEDULE[min(self._refills, len(_BUFFER_SCHEDULE) - 1)]
-            self._refills += 1
-            self._next_buffered = iter(self._gen.random(size).tolist()).__next__
-            return self._next_buffered()
+        return next(self.uniforms)
 
     def _refill_counts(self, mu: float) -> int:
         # called by sample_poisson, which validates mu, when the buffer is

@@ -29,11 +29,13 @@ from functools import partial
 from .core import (
     DEFAULT_SOURCE_BUDGET,
     ConfidenceInterval,
+    GpasResult,
     PoissonSource,
     confidence_interval,
     exact_gpas,
 )
 from .errors import (
+    BudgetExceededError,
     IterationCapError,
     _check_coverage_delta,
     _check_positive_finite,
@@ -87,7 +89,9 @@ def tpa_run(family: NestedGibbsFamily, rng: RngStream) -> int:
     Starting at ``beta_outer``, each step draws H at the current beta and
     moves to beta + ln(U)/H with U uniform; when H = 0 the step lands at
     minus infinity.  Returns the number of steps whose updated beta stays
-    strictly above ``beta_inner``.
+    strictly above ``beta_inner``.  Each step takes U from the stream's
+    ``uniforms`` iterator, so ``rng`` is any stream that provides one and
+    that ``family.sample_hamiltonian`` accepts.
 
     Raises:
         ValueError: if the family's beta ordering is invalid or it produces
@@ -104,7 +108,7 @@ def tpa_run(family: NestedGibbsFamily, rng: RngStream) -> int:
     beta_inner = family.beta_inner
     # bound once: a descent runs these on every step
     sample_hamiltonian = family.sample_hamiltonian
-    next_uniform = rng.next_uniform
+    next_uniform = rng.uniforms.__next__
     isfinite, log = math.isfinite, math.log
     count = 0
     for _ in range(DEFAULT_STEP_CAP):
@@ -198,15 +202,27 @@ def two_phase_from_source(
     Raises:
         ValueError: if epsilon is outside (0, 1), or delta outside
             (2^-54, 1), where the interval's coverage 1 - delta rounds to 1.
-        BudgetExceededError: if either phase exhausts its draw budget.
+        BudgetExceededError: if either phase exhausts its draw budget; the
+            message names the phase, and for phase 2 the counts phase 1 drew.
         CalibrationError: if no index up to the cap reaches a phase's
             precision.
     """
     _check_unit_interval("epsilon", epsilon)
     _check_coverage_delta("delta", delta)
-    first = exact_gpas(source, epsilon, delta / 2.0, rng)
+
+    def phase(number: int, eps: float, drawn_before: str = "") -> GpasResult:
+        # a descent's mean is the log-ratio, so name the phase, not a mean of 0
+        try:
+            return exact_gpas(source, eps, delta / 2.0, rng)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                f"phase {number} of 2 exhausted its budget of {source.max_calls} "
+                f"draws{drawn_before}"
+            ) from exc
+
+    first = phase(1, epsilon)
     eps2 = phase2_epsilon(epsilon, first.mu_hat)
-    second = exact_gpas(source, eps2, delta / 2.0, rng)
+    second = phase(2, eps2, f" (phase 1 drew {first.draws_used})")
     log_ci = confidence_interval(second, 1.0 - delta)
     ci = ConfidenceInterval(
         lower=_exp(log_ci.lower),

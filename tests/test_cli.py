@@ -307,6 +307,19 @@ def test_tpa_ising_golden_fixture(runner, schema):
     jsonschema.validate(json.loads(result.stdout), schema)
 
 
+def test_tpa_ising_4x4_golden_fixture(runner, schema):
+    # pins the headline 4x4 workload's descents bit for bit: every uniform
+    # a descent draws, every count and every estimate
+    result = runner.invoke(
+        main,
+        ["tpa-ising", "--width", "4", "--height", "4", "--epsilon", "0.2",
+         "--delta", "0.01", "--replicates", "2", "--seed", "0"],
+    )
+    assert result.exit_code == 0
+    assert result.stdout == (DATA_DIR / "tpa_ising_4x4_golden.json").read_text()
+    jsonschema.validate(json.loads(result.stdout), schema)
+
+
 def test_tpa_ising_size_bound_exits_2(runner):
     result = runner.invoke(
         main,

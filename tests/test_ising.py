@@ -59,10 +59,7 @@ class FixedUniforms:
     """Stand-in stream that serves the given uniforms in order."""
 
     def __init__(self, values):
-        self._values = iter(values)
-
-    def next_uniform(self):
-        return next(self._values)
+        self.uniforms = iter(values)
 
 
 def assert_matches_reference(hist, pairs):

@@ -295,16 +295,21 @@ def test_determinism_bit_identical_across_buffering():
 @pytest.mark.parametrize("seed,stream", [(0, 0), (77, 5), (2**64 - 1, 3)])
 def test_uniforms_follow_the_block_schedule(seed, stream):
     # each refill is one Generator.random block of the next scheduled size,
-    # drawn by the call that finds the previous block spent: a Beta draw
+    # drawn by the draw that finds the previous block spent: a Beta draw
     # just after a block's first uniform, and one after its last, pin both
-    # the size and the moment against the same generator driven directly
+    # the size and the moment against the same generator driven directly.
+    # Draws alternate between next_uniform() and the uniforms iterator, and
+    # the first draw of a block takes each path in turn, so both paths
+    # share one buffer and either one triggers a refill
     rng = RngStream(seed, stream)
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-    for size, served in ((64, 64), (256, 256), (1024, 1024), (4096, 4096), (16384, 16384), (16384, 100)):
+    paths = (rng.next_uniform, rng.uniforms.__next__)
+    schedule = ((64, 64), (256, 256), (1024, 1024), (4096, 4096), (16384, 16384), (16384, 100))
+    for b, (size, served) in enumerate(schedule):
         block = gen.random(size).tolist()
-        assert rng.next_uniform() == block[0]
+        assert paths[b % 2]() == block[0]
         assert sample_beta(rng, 2, 5) == float(gen.beta(2, 5))
-        assert [rng.next_uniform() for _ in range(served - 1)] == block[1:served]
+        assert [paths[(b + i) % 2]() for i in range(1, served)] == block[1:served]
         assert sample_beta(rng, 2, 5) == float(gen.beta(2, 5))
 
 

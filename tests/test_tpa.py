@@ -319,18 +319,26 @@ def test_two_phase_phase1_budget_error():
         drawn.append(0)
         return 0
 
-    with pytest.raises(BudgetExceededError, match="budget of 100 draws"):
+    with pytest.raises(BudgetExceededError) as raised:
         two_phase_from_source(PoissonSource(draw, max_calls=100), 0.2, 0.1, RngStream(SEED, 4))
+    assert str(raised.value) == "phase 1 of 2 exhausted its budget of 100 draws"
     assert len(drawn) == 100
 
 
 def test_two_phase_phase2_budget_propagates():
-    # a budget big enough for phase 1 but not phase 2 surfaces as the
-    # same budget error
+    # a budget big enough for phase 1 but not phase 2 surfaces as a budget
+    # error that names phase 2 and the counts phase 1 drew, which a twin
+    # stream running phase 1 alone gives
+    twin = RngStream(SEED, 5)
+    first = exact_gpas(SyntheticPoissonSource(10.0, twin, max_calls=30), 0.2, 0.05, twin)
     rng = RngStream(SEED, 5)
     source = SyntheticPoissonSource(10.0, rng, max_calls=30)
-    with pytest.raises(BudgetExceededError, match="budget of 30 draws"):
+    with pytest.raises(BudgetExceededError) as raised:
         two_phase_from_source(source, 0.2, 0.1, rng)
+    assert str(raised.value) == (
+        f"phase 2 of 2 exhausted its budget of 30 draws (phase 1 drew {first.draws_used})"
+    )
+    assert source.call_count == 30
 
 
 @pytest.mark.slow
