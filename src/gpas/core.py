@@ -265,9 +265,9 @@ def calibrate(epsilon: float, delta: float, k_cap: int = DEFAULT_K_CAP) -> Calib
 
     The last two calibrations are memoized, one two-phase run's pair: phase
     1's, whose (eps, delta) is the same in every run, then stays cached from
-    one run to the next.  ``calibrate.cache_clear()`` empties the cache and
-    forgets the remembered offset.  A calibration that raises records
-    nothing.
+    one run to the next.  ``calibrate.cache_clear()`` is functools' own: it
+    empties the cache and keeps the remembered offset, which moves only
+    where a search starts.  A calibration that raises records nothing.
 
     Raises:
         ValueError: on parameters outside (0, 1), or a k_cap that is not
@@ -362,17 +362,6 @@ def calibrate(epsilon: float, delta: float, k_cap: int = DEFAULT_K_CAP) -> Calib
     return Calibration(
         epsilon=epsilon, delta=delta, k=k_star, p=p, f_k=f_k, f_km1=f_km1
     )
-
-
-_clear_calibrations = calibrate.cache_clear
-
-
-def _clear_calibrations_and_offset() -> None:
-    _clear_calibrations()
-    _last_offset.clear()
-
-
-calibrate.cache_clear = _clear_calibrations_and_offset
 
 
 def exact_gpas(

@@ -89,15 +89,17 @@ def tpa_run(family: NestedGibbsFamily, rng: RngStream) -> int:
     Starting at ``beta_outer``, each step draws H at the current beta and
     moves to beta + ln(U)/H with U uniform; when H = 0 the step lands at
     minus infinity.  Returns the number of steps whose updated beta stays
-    strictly above ``beta_inner``.  Each step takes U from the stream's
+    strictly above ``beta_inner``: the 0-based index of the step that ends
+    the descent, at or below it.  Each step takes U from the stream's
     ``uniforms`` iterator, so ``rng`` is any stream that provides one and
     that ``family.sample_hamiltonian`` accepts.
 
     Raises:
         ValueError: if the family's beta ordering is invalid or it produces
             a negative or non-finite Hamiltonian.
-        IterationCapError: after :data:`DEFAULT_STEP_CAP` steps (read at
-            call time) without finishing.
+        IterationCapError: if all :data:`DEFAULT_STEP_CAP` steps (read at
+            call time) stay above ``beta_inner``, so a descent returns at
+            most ``DEFAULT_STEP_CAP - 1``.
     """
     if not family.beta_inner < family.beta_outer:
         raise ValueError(
@@ -109,24 +111,21 @@ def tpa_run(family: NestedGibbsFamily, rng: RngStream) -> int:
     # bound once: a descent runs these on every step
     sample_hamiltonian = family.sample_hamiltonian
     next_uniform = rng.uniforms.__next__
-    isfinite, log = math.isfinite, math.log
-    count = 0
-    for _ in range(DEFAULT_STEP_CAP):
+    log, inf = math.log, math.inf
+    # the loop index is the count: every earlier step stayed above beta_inner
+    for count in range(DEFAULT_STEP_CAP):
         # a family may return an int level; the float checks and step below
         # run about 5% faster per descent on a float
         h = float(sample_hamiltonian(beta, rng))
-        if not (isfinite(h) and h >= 0.0):
+        if not 0.0 <= h < inf:  # also false for NaN
             raise ValueError(f"family produced an invalid Hamiltonian {h!r}")
         u = next_uniform()
         if h == 0.0 or u == 0.0:
-            break  # step lands at -inf
+            return count  # step lands at -inf
         beta += log(u) / h
         if beta <= beta_inner:
-            break
-        count += 1
-    else:
-        raise IterationCapError(f"descent did not finish within {DEFAULT_STEP_CAP} steps")
-    return count
+            return count
+    raise IterationCapError(f"descent did not finish within {DEFAULT_STEP_CAP} steps")
 
 
 @dataclass(frozen=True)

@@ -320,6 +320,19 @@ def test_tpa_ising_4x4_golden_fixture(runner, schema):
     jsonschema.validate(json.loads(result.stdout), schema)
 
 
+def test_tpa_ising_6x4_golden_fixture(runner, schema):
+    # the ising-24v grid: beta = 1 is the sampler's tabulated top point, so
+    # every descent's first draw takes a path the 4x4 golden does not pin
+    result = runner.invoke(
+        main,
+        ["tpa-ising", "--width", "6", "--height", "4", "--epsilon", "0.2",
+         "--delta", "0.01", "--replicates", "2", "--seed", "0"],
+    )
+    assert result.exit_code == 0
+    assert result.stdout == (DATA_DIR / "tpa_ising_6x4_golden.json").read_text()
+    jsonschema.validate(json.loads(result.stdout), schema)
+
+
 def test_tpa_ising_size_bound_exits_2(runner):
     result = runner.invoke(
         main,

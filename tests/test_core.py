@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri, pdtr
 
+import gpas.core as core_module
 from gpas.core import (
     _MONOTONE_SLACK,
     Calibration,
@@ -229,8 +230,6 @@ def test_source_accepts_numpy_integer_budget():
 def test_synthetic_source_draws_one_poisson_count_per_charged_count(monkeypatch):
     # each count gpas charges is one call of core's sample_poisson, looked up
     # when the source is built; the counts and the estimate are unchanged
-    import gpas.core as core_module
-
     def run():
         rng = RngStream(SEED, 7)
         source = SyntheticPoissonSource(3.0, rng)
@@ -505,22 +504,25 @@ def test_calibrate_rejects_non_integer_or_small_k_cap(k_cap):
         calibrate(0.2, 0.01, k_cap=k_cap)
 
 
+def _forget_calibrations():
+    calibrate.cache_clear()
+    core_module._last_offset.clear()
+
+
 @pytest.fixture
 def uncached_calibrate():
     # calibrate memoizes its last two calibrations and remembers the offset
-    # of the last one it computed, and cache_clear forgets both: a test that
-    # swaps failure_probability must neither read a calibration, nor start
-    # from an offset, made before the swap, nor leave one made with it
-    calibrate.cache_clear()
+    # of the last one it computed: a test that swaps failure_probability
+    # must neither read a calibration, nor start from an offset, made before
+    # the swap, nor leave one made with it
+    _forget_calibrations()
     yield
-    calibrate.cache_clear()
+    _forget_calibrations()
 
 
 def test_calibrate_detects_non_monotone_failure_probability(monkeypatch, uncached_calibrate):
     # the search leans on monotonicity; a violation among the probed
     # indices must surface as a search failure, not a wrong calibration
-    import gpas.core as core_module
-
     epsilon, delta = 0.1, 0.0018
     # the search's first probe is the normal guess, 975, below the minimal
     # k of 999; a dip there that stays above delta keeps the search climbing,
@@ -544,8 +546,6 @@ def test_calibrate_detects_non_monotone_failure_probability_at_remembered_start(
     # one below ceil(guess + offset), at 993, six below the minimal k of
     # 999, and climbs by 1, 2, 4, ...; no other probe of the search lands
     # on 993, so the error shows the search started there
-    import gpas.core as core_module
-
     epsilon, delta = 0.1, 0.0018
     far = calibrate(0.45, delta)
     guess = lambda eps: (ndtri(0.5 * delta) / eps) ** 2
@@ -607,8 +607,6 @@ def test_calibrate_matches_doubling_search_in_a_dozen_probes(
 ):
     # both searches probe the same failure_probability, so the normal-guess
     # start must change the probe count and nothing else
-    import gpas.core as core_module
-
     rng = np.random.default_rng(11)
     inputs = np.column_stack(
         [
@@ -637,8 +635,6 @@ def test_calibrate_from_remembered_offset_matches_fresh_search(monkeypatch, unca
     # once per replicate; starting from the last offset at that delta must
     # change the probe count and nothing else, also right after a far eps
     # and after a floor-corner calibration (k = 3) at the same delta
-    import gpas.core as core_module
-
     eps2 = [math.log(1.2) * 0.8 / r_hat1 for r_hat1 in np.linspace(10.0, 25.0, 60)]
     sequence = [(eps, 0.005) for eps in eps2]
     sequence += [(0.45, 0.005), (eps2[0], 0.005), (eps2[15], 0.005), (0.45, 0.005)]
@@ -646,7 +642,7 @@ def test_calibrate_from_remembered_offset_matches_fresh_search(monkeypatch, unca
     sequence += [(0.3, 0.9), (eps2[30], 0.005)]
     fresh = {}
     for epsilon, delta in sequence:
-        calibrate.cache_clear()
+        _forget_calibrations()
         cal = calibrate(epsilon, delta)
         fresh[epsilon, delta] = (cal.k, cal.p, cal.f_k, cal.f_km1)
     assert fresh[0.9, 0.9][0] == 3
@@ -658,7 +654,7 @@ def test_calibrate_from_remembered_offset_matches_fresh_search(monkeypatch, unca
         return failure_probability(k, epsilon)
 
     monkeypatch.setattr(core_module, "failure_probability", recorded)
-    calibrate.cache_clear()
+    _forget_calibrations()
     for epsilon, delta in sequence:
         probed.append([])
         cal = core_module.calibrate(epsilon, delta)
@@ -670,20 +666,39 @@ def test_calibrate_from_remembered_offset_matches_fresh_search(monkeypatch, unca
     # lands on k - 1 or k, and probes just the two tails p needs
     assert probe_counts[1:60] == [2] * 59
 
-    # cache_clear forgets the offset: the next search starts at the normal
-    # guess again, not 14 above it
-    calibrate.cache_clear()
+    # clearing the remembered offset restores the normal-guess start, not
+    # 14 above it (the cache is emptied too, or the call would not search)
+    _forget_calibrations()
     probed.append([])
     core_module.calibrate(eps2[30], 0.005)
     assert probed[-1][0] == math.ceil((ndtri(0.0025) / eps2[30]) ** 2)
+
+
+def test_cache_clear_keeps_the_remembered_offset(monkeypatch, uncached_calibrate):
+    # cache_clear is functools' own: it empties the memo and leaves the
+    # offset, which only moves where a search starts; a phase 2 calibration
+    # after it still starts from phase 1's offset and probes twice
+    calibrate(0.2, 0.005)
+    offset = dict(core_module._last_offset)
+    calibrate.cache_clear()
+    assert calibrate.cache_info().currsize == 0
+    assert core_module._last_offset == offset
+
+    probes = []
+
+    def counted(k, epsilon):
+        probes.append(k)
+        return failure_probability(k, epsilon)
+
+    monkeypatch.setattr(core_module, "failure_probability", counted)
+    core_module.calibrate(math.log(1.2) * 0.8 / 15.4, 0.005)
+    assert len(probes) == 2
 
 
 def test_phase_two_calibrations_probe_twice(monkeypatch, uncached_calibrate):
     # synthetic two-phase replicates at the synthetic-r15 parameters: each
     # phase 2 calibration starts from the offset the one before it left at
     # delta / 2, phase 1's included, and probes failure_probability twice
-    import gpas.core as core_module
-
     probes = []
 
     def counted(k, epsilon):

@@ -73,8 +73,10 @@ def descent_counts(family, replicates, seed):
     )
 
 
-def test_zero_hamiltonian_family_always_returns_zero():
-    family = ConstantHamiltonianFamily(h=0.0)
+@pytest.mark.parametrize("zero", [0.0, -0.0, 0])
+def test_zero_hamiltonian_family_always_returns_zero(zero):
+    # -0.0 passes the nonnegativity test, and an int level is made a float
+    family = ConstantHamiltonianFamily(h=zero)
     rng = RngStream(SEED)
     assert all(tpa_run(family, rng) == 0 for _ in range(200))
 
@@ -119,6 +121,39 @@ def test_tpa_run_iteration_cap(monkeypatch):
     monkeypatch.setattr(tpa, "DEFAULT_STEP_CAP", 100)
     with pytest.raises(IterationCapError, match="within 100 steps"):
         tpa_run(family, RngStream(SEED))
+
+
+class ScriptedUniforms:
+    """Stand-in stream that serves a fixed sequence of uniforms."""
+
+    def __init__(self, values):
+        self.uniforms = iter(values)
+
+
+CAP = 5
+# at H = 100 a step with U = 1/2 moves beta down by ln(2)/100, so CAP such
+# steps from 1 stay far above beta_inner = 0
+SMALL_STEPS = [0.5] * (CAP - 1)
+
+
+@pytest.mark.parametrize("last", [0.0, 1e-300])
+def test_tpa_run_ends_on_the_last_step_the_cap_allows(monkeypatch, last):
+    # the CAP-th step ends the descent, at -inf (U = 0) or by a step of
+    # ln(1e-300)/100 = -6.9 below beta_inner; CAP - 1 steps stayed above
+    monkeypatch.setattr(tpa, "DEFAULT_STEP_CAP", CAP)
+    stream = ScriptedUniforms(SMALL_STEPS + [last, 0.25])
+    assert tpa_run(ConstantHamiltonianFamily(h=100.0), stream) == CAP - 1
+    assert next(stream.uniforms) == 0.25  # exactly CAP uniforms drawn
+
+
+def test_tpa_run_raises_when_a_step_past_the_cap_is_needed(monkeypatch):
+    # all CAP steps stay above beta_inner; a (CAP + 1)-th step would end
+    # the descent at -inf, but the cap forbids it
+    monkeypatch.setattr(tpa, "DEFAULT_STEP_CAP", CAP)
+    stream = ScriptedUniforms(SMALL_STEPS + [0.5, 0.0])
+    with pytest.raises(IterationCapError, match=f"within {CAP} steps"):
+        tpa_run(ConstantHamiltonianFamily(h=100.0), stream)
+    assert next(stream.uniforms) == 0.0  # exactly CAP uniforms drawn
 
 
 def test_tpa_run_rejects_bad_beta_ordering():
