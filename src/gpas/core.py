@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 from scipy.special import gammainccinv, ndtri
@@ -232,7 +232,6 @@ def failure_probability(k: int, epsilon: float) -> float:
     return low_tail + high_tail
 
 
-@lru_cache(maxsize=2)
 def calibrate(epsilon: float, delta: float, k_cap: int = DEFAULT_K_CAP) -> Calibration:
     """Find the minimal k >= 3 whose failure probability is at most delta.
 
@@ -252,9 +251,12 @@ def calibrate(epsilon: float, delta: float, k_cap: int = DEFAULT_K_CAP) -> Calib
     the same distance above g, ceil(g + offset) is the minimal k or one
     above it, and the start one below is k - 1 or k: the search brackets
     the crossing with its second probe and probes only the two tails that p
-    needs.  That makes two probes for each of phase 2's calibrations, which
-    share delta / 2.  Either start changes which indices are probed, never
-    the k, p or tail values found.
+    needs.  Both phases of a two-phase run calibrate at delta / 2, so after
+    a process's first calibration each phase starts from the other's offset
+    and probes twice, phase 1 at k = 211 and 210 for eps 0.2, delta 0.005.
+    Either start changes which indices are probed, never the k, p or tail
+    values found.  The offset is the only state kept between calls, and a
+    calibration that raises records none.
 
     The failure probability is nonincreasing in k over any sensible range;
     monotonicity is asserted over every probed index rather than assumed
@@ -262,12 +264,6 @@ def calibrate(epsilon: float, delta: float, k_cap: int = DEFAULT_K_CAP) -> Calib
     choice fail with probability exactly delta.  In the corner where even
     k = 2 already beats delta, no exact mixture exists and p is clamped to
     1 (always use k - 1 = 2; strictly conservative).
-
-    The last two calibrations are memoized, one two-phase run's pair: phase
-    1's, whose (eps, delta) is the same in every run, then stays cached from
-    one run to the next.  ``calibrate.cache_clear()`` is functools' own: it
-    empties the cache and keeps the remembered offset, which moves only
-    where a search starts.  A calibration that raises records nothing.
 
     Raises:
         ValueError: on parameters outside (0, 1), or a k_cap that is not

@@ -3,9 +3,9 @@
 Everything stochastic in this package is driven by :class:`RngStream`, a
 seedable stream addressed by a ``(seed, stream_id)`` pair.  Uniforms
 (:attr:`RngStream.uniforms`, or :meth:`RngStream.next_uniform`) and Bernoulli
-draws come from the stream's buffered uniforms, Beta draws straight from its
-underlying numpy generator, and Poisson counts from buffered counts of one
-mean, drawn from a Philox substream of their own.  The same pair and the
+draws come from the stream's chained blocks of uniforms, Beta draws straight
+from its underlying numpy generator, and Poisson counts from chained blocks of
+one mean, drawn from a Philox substream of their own.  The same pair and the
 same sequence of calls reproduce the same draws within one numpy version, and
 independent replicates run on distinct stream ids.
 
@@ -19,6 +19,7 @@ quantiles from Boost's inverse chi-square CDF, through ``scipy.special``.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -217,26 +218,25 @@ def gamma_quantile(shape: float, q: float) -> float:
 # Random stream and variate samplers
 # ---------------------------------------------------------------------------
 
-# Uniform refill sizes grow so short-lived streams stay cheap while long-lived
-# ones amortize generator overhead.
+# Block sizes grow so short-lived streams stay cheap while long-lived ones
+# amortize generator overhead.  Counts of one mean stop at 1024, so a run
+# that stops drawing leaves fewer than 1024 of them unused.
 _BUFFER_SCHEDULE = (64, 256, 1024, 4096, 16384)
-
-
-def _uniform_blocks(gen: np.random.Generator):
-    # one Generator.random block per size of the schedule, then blocks of the
-    # last size forever; it holds the generator, not the stream, so a stream
-    # is freed without waiting for the cycle collector
-    for size in chain(_BUFFER_SCHEDULE, repeat(_BUFFER_SCHEDULE[-1])):
-        yield gen.random(size).tolist()
-
-
-# Counts of one mean are refilled in blocks that double from the first size
-# up to the cap.  Their generator is keyed like the stream's own and starts
-# at this counter, 2^255 blocks past the stream's start, so the two never
-# meet.
-_COUNT_BLOCK_FIRST = 64
-_COUNT_BLOCK_CAP = 1024
+_COUNT_SCHEDULE = (64, 128, 256, 512, 1024)
+# The count generator is keyed like the stream's own and starts at this
+# counter, 2^255 blocks past the stream's start, so the two never meet.
 _COUNT_COUNTER = (0, 0, 0, 2**63)
+
+
+def _blocks(draw, sizes):
+    """Yield ``draw(size).tolist()`` for each size, then for the last forever.
+
+    ``draw`` is a method of a numpy generator, or a partial of one, never of
+    a stream, so the chain over these blocks holds no reference back to its
+    stream, which is then freed without waiting for the cycle collector.
+    """
+    for size in chain(sizes, repeat(sizes[-1])):
+        yield draw(size).tolist()
 
 
 class RngStream:
@@ -252,36 +252,30 @@ class RngStream:
     itself, which serves a buffered uniform with no Python frame.  The chain
     is lazy: it draws the next block only when a draw finds the current one
     spent.  The Beta sampler of this module draws from the same generator,
-    so a refill and a sampler call each advance it, and the laziness keeps
+    so a block and a sampler call each advance it, and the laziness keeps
     them in the order of the calls: the same calls give the same draws
     through either access path.
 
     Poisson counts come from a substream of their own: a second Philox
     generator with the same key, started at counter ``(0, 0, 0, 2^63)``
     and created by the first count, so a stream that draws none (a
-    descent's) never builds it.  :func:`sample_poisson` pops counts of one
-    mean from a buffer that it refills in blocks doubling from 64 to 1024;
-    a call with another mean discards the buffered counts and restarts at 64.
-    A run that stops drawing leaves fewer than 1024 counts unused; at that
-    size numpy's per-call overhead is already a small share of a block, so a
-    larger cap would save little and throw more drawn counts away.
-    numpy's Poisson draws of one mean in blocks of a and b equal one block
-    of a + b, and no other draw touches the substream, so the counts of a
-    run at one mean are one fixed sequence: they do not depend on the block
+    descent's) never builds it.  Counts of one mean are chained the same
+    way, in blocks doubling from 64 to 1024; :func:`sample_poisson` at
+    another mean drops that chain and starts a new one at 64.  numpy's
+    Poisson draws of one mean in blocks of a and b equal one block of
+    a + b, and no other draw touches the substream, so the counts of a run
+    at one mean are one fixed sequence: they do not depend on the block
     sizes, nor on the uniforms and Beta draws taken between them.  The same
     pair and the same sequence of calls therefore reproduce the same draws
     within one numpy version.
 
     A stream is single-owner mutable state: never share one instance across
-    threads.  Run concurrent replicates on distinct stream ids instead.  The
-    uniforms iterator holds a Python generator, so a stream cannot be
-    pickled or copied; build a new one from its ``(seed, stream_id)``.
+    threads.  Run concurrent replicates on distinct stream ids instead.  Its
+    chains hold Python generators, so a stream cannot be pickled or copied;
+    build a new one from its ``(seed, stream_id)``.
     """
 
-    __slots__ = (
-        "seed", "stream_id", "_gen", "uniforms",
-        "_count_gen", "_next_count", "_count_block", "_count_mu",
-    )
+    __slots__ = ("seed", "stream_id", "_gen", "uniforms", "_count_gen", "_counts", "_count_mu")
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         _check_integer("seed", seed, 0, 2**64)
@@ -289,13 +283,12 @@ class RngStream:
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._gen = np.random.Generator(np.random.Philox(key=self._key()))
-        self.uniforms = chain.from_iterable(_uniform_blocks(self._gen))
-        # the count substream, built by the first count
+        self.uniforms = chain.from_iterable(_blocks(self._gen.random, _BUFFER_SCHEDULE))
+        # the count substream, built by the first count, and the chain of
+        # counts of _count_mu, a mean sample_poisson has validated (NaN
+        # matches none)
         self._count_gen = None
-        # __next__ of an iterator over the current block of counts of
-        # _count_mu, a mean that sample_poisson has validated (NaN matches none)
-        self._next_count = iter(()).__next__
-        self._count_block = _COUNT_BLOCK_FIRST
+        self._counts = iter(())
         self._count_mu = math.nan
 
     def _key(self) -> np.ndarray:
@@ -304,20 +297,6 @@ class RngStream:
     def next_uniform(self) -> float:
         """Next uniform variate in [0, 1)."""
         return next(self.uniforms)
-
-    def _refill_counts(self, mu: float) -> int:
-        # called by sample_poisson, which validates mu, when the buffer is
-        # spent or holds counts of another mean
-        if self._count_gen is None:
-            self._count_gen = np.random.Generator(
-                np.random.Philox(key=self._key(), counter=_COUNT_COUNTER)
-            )
-        size = self._count_block if mu == self._count_mu else _COUNT_BLOCK_FIRST
-        block = self._count_gen.poisson(mu, size).tolist()
-        self._count_mu = mu
-        self._count_block = min(2 * size, _COUNT_BLOCK_CAP)
-        self._next_count = iter(block).__next__
-        return self._next_count()
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -333,25 +312,27 @@ def sample_bernoulli(rng: RngStream, p: float) -> bool:
 def sample_poisson(rng: RngStream, mu: float) -> int:
     """Poisson(mu) count from the stream's count substream; mu = 0 returns 0.
 
-    Counts are drawn in blocks of one mean from a Philox substream that
-    nothing else draws from (see :class:`RngStream`), so the counts of one
-    mean are the same sequence whatever the block sizes and whatever other
-    draws fall between them.  A call at the buffered mean pops the next
-    count, which skips even the argument check (that mean passed it).  The
-    cost does not grow with mu.  Any other mean is checked before the
-    stream's state changes: it must be finite, nonnegative and at most
+    A call at the stream's current mean takes the next count of its chain
+    (see :class:`RngStream`), which skips even the argument check (that
+    mean passed it).  Any other mean is checked before the stream's state
+    changes: it must be finite, nonnegative and at most
     :data:`POISSON_MEAN_MAX` (about 9.2e18), numpy's limit, or ValueError
-    is raised.
+    is raised.  The counts of one mean are the same sequence whatever other
+    draws fall between them, and the cost does not grow with mu.
     """
     if mu == rng._count_mu:
-        try:
-            return rng._next_count()
-        except StopIteration:
-            return rng._refill_counts(mu)
+        return next(rng._counts)
     _check_poisson_mean("mu", mu)
     if mu == 0.0:
         return 0
-    return rng._refill_counts(mu)
+    if rng._count_gen is None:
+        rng._count_gen = np.random.Generator(
+            np.random.Philox(key=rng._key(), counter=_COUNT_COUNTER)
+        )
+    draw = partial(rng._count_gen.poisson, mu)
+    rng._counts = chain.from_iterable(_blocks(draw, _COUNT_SCHEDULE))
+    rng._count_mu = mu
+    return next(rng._counts)
 
 
 def sample_beta(rng: RngStream, a: int, b: int) -> float:

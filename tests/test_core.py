@@ -505,22 +505,20 @@ def test_calibrate_rejects_non_integer_or_small_k_cap(k_cap):
 
 
 def _forget_calibrations():
-    calibrate.cache_clear()
     core_module._last_offset.clear()
 
 
 @pytest.fixture
-def uncached_calibrate():
-    # calibrate memoizes its last two calibrations and remembers the offset
-    # of the last one it computed: a test that swaps failure_probability
-    # must neither read a calibration, nor start from an offset, made before
-    # the swap, nor leave one made with it
+def no_remembered_offset():
+    # calibrate remembers the offset of the last calibration it computed: a
+    # test that counts or swaps failure_probability must neither start from
+    # an offset made before, nor leave one made with the swap
     _forget_calibrations()
     yield
     _forget_calibrations()
 
 
-def test_calibrate_detects_non_monotone_failure_probability(monkeypatch, uncached_calibrate):
+def test_calibrate_detects_non_monotone_failure_probability(monkeypatch, no_remembered_offset):
     # the search leans on monotonicity; a violation among the probed
     # indices must surface as a search failure, not a wrong calibration
     epsilon, delta = 0.1, 0.0018
@@ -539,7 +537,7 @@ def test_calibrate_detects_non_monotone_failure_probability(monkeypatch, uncache
 
 
 def test_calibrate_detects_non_monotone_failure_probability_at_remembered_start(
-    monkeypatch, uncached_calibrate
+    monkeypatch, no_remembered_offset
 ):
     # the same dip, now at the start a remembered offset gives: at delta
     # 0.0018 the offset is 18.9 at eps 0.45, so the search at eps 0.1 starts
@@ -559,18 +557,6 @@ def test_calibrate_detects_non_monotone_failure_probability_at_remembered_start(
     monkeypatch.setattr(core_module, "failure_probability", warped)
     with pytest.raises(CalibrationError, match="not monotone"):
         core_module.calibrate(epsilon, delta)
-
-
-def test_calibrate_keeps_phase_one_cached_across_runs(uncached_calibrate):
-    # two two-phase runs: phase 1's (0.2, 0.005) is computed once, and each
-    # phase 2 calibration in between leaves it in the cache
-    first = calibrate(0.2, 0.005)
-    calibrate(0.0097, 0.005)
-    assert calibrate(0.2, 0.005) is first
-    calibrate(0.0095, 0.005)
-    assert calibrate(0.2, 0.005) is first
-    info = calibrate.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (2, 3, 2)
 
 
 def _doubling_calibrate(epsilon, delta):
@@ -603,7 +589,7 @@ def _doubling_calibrate(epsilon, delta):
 
 @pytest.mark.slow
 def test_calibrate_matches_doubling_search_in_a_dozen_probes(
-    monkeypatch, uncached_calibrate
+    monkeypatch, no_remembered_offset
 ):
     # both searches probe the same failure_probability, so the normal-guess
     # start must change the probe count and nothing else
@@ -630,7 +616,7 @@ def test_calibrate_matches_doubling_search_in_a_dozen_probes(
     assert max(probe_counts) <= 18
 
 
-def test_calibrate_from_remembered_offset_matches_fresh_search(monkeypatch, uncached_calibrate):
+def test_calibrate_from_remembered_offset_matches_fresh_search(monkeypatch, no_remembered_offset):
     # phase 2 calibrates at delta / 2 = 0.005 and eps2 = ln(1.2) 0.8 / r_hat1,
     # once per replicate; starting from the last offset at that delta must
     # change the probe count and nothing else, also right after a far eps
@@ -660,30 +646,23 @@ def test_calibrate_from_remembered_offset_matches_fresh_search(monkeypatch, unca
         cal = core_module.calibrate(epsilon, delta)
         assert (cal.k, cal.p, cal.f_k, cal.f_km1) == fresh[epsilon, delta], (epsilon, delta)
     probe_counts = [len(ks) for ks in probed]
-    # no input repeats within two calls, so every calibration was computed
     assert min(probe_counts) >= 1
     # started one below ceil(guess + offset), each search after the first
     # lands on k - 1 or k, and probes just the two tails p needs
     assert probe_counts[1:60] == [2] * 59
 
     # clearing the remembered offset restores the normal-guess start, not
-    # 14 above it (the cache is emptied too, or the call would not search)
+    # 14 above it
     _forget_calibrations()
     probed.append([])
     core_module.calibrate(eps2[30], 0.005)
     assert probed[-1][0] == math.ceil((ndtri(0.0025) / eps2[30]) ** 2)
 
 
-def test_cache_clear_keeps_the_remembered_offset(monkeypatch, uncached_calibrate):
-    # cache_clear is functools' own: it empties the memo and leaves the
-    # offset, which only moves where a search starts; a phase 2 calibration
-    # after it still starts from phase 1's offset and probes twice
+def test_phase_two_calibration_starts_from_phase_ones_offset(monkeypatch, no_remembered_offset):
+    # phase 1 at delta 0.005 leaves its offset, and a phase 2 calibration at
+    # the same delta starts from it and probes twice
     calibrate(0.2, 0.005)
-    offset = dict(core_module._last_offset)
-    calibrate.cache_clear()
-    assert calibrate.cache_info().currsize == 0
-    assert core_module._last_offset == offset
-
     probes = []
 
     def counted(k, epsilon):
@@ -695,27 +674,28 @@ def test_cache_clear_keeps_the_remembered_offset(monkeypatch, uncached_calibrate
     assert len(probes) == 2
 
 
-def test_phase_two_calibrations_probe_twice(monkeypatch, uncached_calibrate):
-    # synthetic two-phase replicates at the synthetic-r15 parameters: each
-    # phase 2 calibration starts from the offset the one before it left at
-    # delta / 2, phase 1's included, and probes failure_probability twice
-    probes = []
+def test_phase_two_calibrations_probe_twice(monkeypatch, no_remembered_offset):
+    # synthetic two-phase replicates at the synthetic-r15 parameters: after
+    # the first, each calibration starts from the offset the one before it
+    # left at delta / 2 and probes failure_probability twice, phase 1's
+    # (k = 211 and 210) after the last replicate's phase 2 included
+    probes = []  # [epsilon, probes] of each calibration, in call order
 
     def counted(k, epsilon):
-        probes[-1] += 1
+        probes[-1][1] += 1
         return failure_probability(k, epsilon)
 
     def recorded(epsilon, delta):
-        probes.append(0)
-        cal = calibrate(epsilon, delta)
-        if epsilon == 0.2:
-            probes.pop()  # phase 1, computed by the first replicate only
-        return cal
+        probes.append([epsilon, 0])
+        return calibrate(epsilon, delta)
 
     monkeypatch.setattr(core_module, "failure_probability", counted)
     monkeypatch.setattr(core_module, "calibrate", recorded)
     replicate_two_phase(15.4, 0.2, 0.01, 200, SEED)
-    assert probes == [2] * 200
+    phase1, phase2 = probes[0::2], probes[1::2]
+    assert [epsilon for epsilon, _ in phase1] == [0.2] * 200
+    assert [count for _, count in phase2] == [2] * 200
+    assert [count for _, count in phase1[1:]] == [2] * 199
 
 
 # the calibrate-ci domain, log-uniform, and the whole domain up to 0.99

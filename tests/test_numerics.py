@@ -1,6 +1,9 @@
 """Special functions against independent oracles, and sampler laws."""
 
+import gc
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from gpas.numerics import (
-    _COUNT_BLOCK_CAP,
+    _COUNT_SCHEDULE,
     RngStream,
     _reg_upper_gamma,
     gamma_quantile,
@@ -21,6 +24,7 @@ from gpas.numerics import (
 )
 
 SEED = 101
+DATA_DIR = Path(__file__).parent / "data"
 KS_ALPHA = 0.001
 CHI2_ALPHA = 0.001
 
@@ -441,9 +445,9 @@ def _count_substream(seed, stream):
 @pytest.mark.parametrize("mu", [0.3, 2.0, 15.4, 1e4])
 @pytest.mark.parametrize("seed,stream", [(0, 0), (77, 5), (2**64 - 1, 3)])
 def test_poisson_counts_equal_one_substream_draw(seed, stream, mu):
-    # 40000 counts span 43 refills (64 doubling up to 512, then the 1024
-    # cap 39 times), yet they are one direct draw of 40000 on the substream
-    assert _COUNT_BLOCK_CAP == 1024
+    # 40000 counts span 43 blocks (64 doubling up to 512, then 1024 39
+    # times), yet they are one direct draw of 40000 on the substream
+    assert _COUNT_SCHEDULE[-1] == 1024
     rng = RngStream(seed, stream)
     got = [sample_poisson(rng, mu) for _ in range(40_000)]
     assert got == _count_substream(seed, stream).poisson(mu, 40_000).tolist()
@@ -484,33 +488,75 @@ def test_rejected_mean_leaves_the_count_buffer_intact():
     assert got == expected
 
 
+def test_poisson_counts_golden():
+    # one stream switching among four means, with runs past a block of 1024
+    # and returns to earlier means, frozen once as a regression pin on where
+    # each run starts in the count substream (within one numpy version)
+    golden = json.loads((DATA_DIR / "poisson_counts_golden.json").read_text())
+    rng = RngStream(golden["seed"], golden["stream_id"])
+    assert sum(len(run["counts"]) for run in golden["runs"]) == 3_000
+    for run in golden["runs"]:
+        assert [sample_poisson(rng, run["mu"]) for _ in run["counts"]] == run["counts"]
+
+
 class _CountingGenerator:
-    """Generator proxy that records how many Poisson counts each fill draws."""
+    """Generator proxy that records the size of each block of counts drawn."""
 
     def __init__(self, gen):
         self._gen = gen
-        self.poisson_drawn = 0
+        self.sizes = []
 
     def poisson(self, lam, size):
-        self.poisson_drawn += size
+        self.sizes.append(size)
         return self._gen.poisson(lam, size)
 
 
 def test_poisson_buffer_restarts_small_on_a_new_mean():
-    # alternating means must not refill ever larger blocks: each switch
-    # draws one smallest block, so the mixed-calls replay stays cheap
+    # alternating means must not draw ever larger blocks: each switch draws
+    # one smallest block, so the mixed-calls replay stays cheap
     rng = RngStream(77, 5)
     rng._count_gen = counter = _CountingGenerator(_count_substream(77, 5))
     _mixed_draws(rng)
-    assert counter.poisson_drawn == 8_000 * 64
-    # one mean throughout doubles the blocks to their cap: 1e5 counts take
-    # 64 + 128 + 256 + 512 and then 97 blocks of 1024, 100,288 in all, so
-    # fewer than one block's worth of counts is drawn and left unused
+    assert counter.sizes == [64] * 8_000
+    # one mean throughout doubles the blocks up to 1024 and stays there; a
+    # new mean, or a return to an old one, starts again at 64
     rng = RngStream(77, 5)
     rng._count_gen = counter = _CountingGenerator(_count_substream(77, 5))
-    for _ in range(100_000):
+    for mu, n, sizes in [
+        (3.0, 3_000, [64, 128, 256, 512, 1024, 1024]),
+        (40.0, 200, [64, 128, 256]),
+        (3.0, 65, [64, 128]),
+    ]:
+        counter.sizes.clear()
+        for _ in range(n):
+            sample_poisson(rng, mu)
+        assert counter.sizes == sizes, mu
+
+
+def _live_streams():
+    return sum(type(obj) is RngStream for obj in gc.get_objects())
+
+
+def test_a_stream_is_freed_without_the_cycle_collector():
+    # neither chain of blocks refers back to its stream, so deleting the
+    # last reference frees the stream at once and leaves no garbage cycle;
+    # the live streams are counted too, because a cycle through a chain's
+    # generator is broken by closing the generator and still collects to 0
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_streams()
+        rng = RngStream(77, 5)
+        for _ in range(100):
+            next(rng.uniforms)
         sample_poisson(rng, 3.0)
-    assert counter.poisson_drawn < 100_000 + 1024
+        sample_poisson(rng, 40.0)
+        sample_beta(rng, 2, 5)
+        del rng
+        assert _live_streams() == before
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("mu", [-1.0, math.nan, math.inf, 1e20])
