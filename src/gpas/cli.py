@@ -35,6 +35,7 @@ import numpy as np
 from .core import (
     DEFAULT_K_CAP,
     DEFAULT_SOURCE_BUDGET,
+    ConfidenceInterval,
     SyntheticPoissonSource,
     calibrate,
     confidence_interval,
@@ -58,7 +59,7 @@ from .ising import (
     partition_function,
 )
 from .numerics import RngStream
-from .tpa import two_phase_scheme
+from .tpa import TpaReport, two_phase_scheme
 from .validation import replicate, replicate_two_phase, run_all
 
 SEED_ENV_VAR = "GPAS_SEED"
@@ -252,31 +253,27 @@ def cmd_validate(replicates, seed) -> None:
 
 
 def _single_run_fields(report, z_inner: float, delta: float) -> dict:
-    if report is None:  # degenerate: no edges, so Z(beta) is constant
-        return {
-            "degenerate": True,
-            "diagnostic": (
-                "the graph has no edges: Z(beta) is constant, so the ratio "
-                "is exactly 1 and no descent was run"
-            ),
-            "ratio_estimate": 1.0,
-            "z_outer_estimate": z_inner,
-            "r_hat1": None,
-            "r_hat2": None,
-            "epsilon2": None,
-            "ci": {"lower": 1.0, "upper": 1.0, "coverage": 1.0 - delta},
-            "total_tpa_calls": 0,
-        }
+    """One run of ``tpa-ising`` as payload fields, from one report.
+
+    A graph with no edges has a constant Z(beta), so ``report`` is None:
+    the run is then the exact ratio 1, with the interval [1, 1] at
+    coverage 1 - delta, no phase estimates and no descent.  Both kinds of
+    run list the same fields in the same order: the flags, the ratio and
+    Z(1), then the report's other fields in their declared order.
+    """
+    degenerate = report is None
+    if degenerate:
+        report = TpaReport(None, None, None, 1.0, ConfidenceInterval(1.0, 1.0, 1.0 - delta), 0)
     return {
-        "degenerate": False,
-        "diagnostic": None,
+        "degenerate": degenerate,
+        "diagnostic": (
+            "the graph has no edges: Z(beta) is constant, so the ratio "
+            "is exactly 1 and no descent was run"
+        ) if degenerate else None,
         "ratio_estimate": report.ratio_estimate,
         "z_outer_estimate": report.ratio_estimate * z_inner,
-        "r_hat1": report.r_hat1,
-        "r_hat2": report.r_hat2,
-        "epsilon2": report.epsilon2,
-        "ci": asdict(report.ci),
-        "total_tpa_calls": report.total_tpa_calls,
+        # a key already listed keeps its place, so ratio_estimate stays third
+        **asdict(report),
     }
 
 

@@ -393,15 +393,18 @@ def sample_hamiltonian(hist: HamiltonianHistogram, beta: float, rng: RngStream) 
 
 @dataclass(frozen=True)
 class IsingGibbsFamily(NestedGibbsFamily):
-    """Level-histogram Gibbs family for the ratio Z(beta_outer)/Z(beta_inner).
+    """Level-histogram Gibbs family for the fixed ratio Z(1)/Z(0).
 
     Satisfies the nested-family contract with H_max = #E; the histogram is
-    computed once per graph and shared across all beta values.
+    computed once per graph and shared across all beta values.  The
+    histogram is the one field: ``beta_outer = 1`` and ``beta_inner = 0``
+    are class attributes, so two families compare and hash by their
+    histograms alone, and neither beta is a constructor argument.
     """
 
     histogram: HamiltonianHistogram
-    beta_outer: float = 1.0
-    beta_inner: float = 0.0
+    beta_outer = 1.0
+    beta_inner = 0.0
 
     @property
     def sample_hamiltonian(self) -> MethodType:

@@ -23,6 +23,7 @@ from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
 from .errors import (
@@ -228,6 +229,23 @@ _COUNT_SCHEDULE = (64, 128, 256, 512, 1024)
 _COUNT_COUNTER = (0, 0, 0, 2**63)
 
 
+class _KeySequence(ISeedSequence):
+    """A seed sequence whose only state is a Philox key.
+
+    Philox asks its seed sequence for two uint64 words and uses them as its
+    key, so ``Philox(_KeySequence(key))`` is keyed as ``Philox(key=key)``
+    is, with the same draws; the latter also builds a ``SeedSequence()``
+    it never reads, whose OS entropy costs more than the rest of the
+    generator.
+    """
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
 def _blocks(draw, sizes):
     """Yield ``draw(size).tolist()`` for each size, then for the last forever.
 
@@ -243,15 +261,16 @@ class RngStream:
     """Deterministic random stream addressed by ``(seed, stream_id)``.
 
     Backed by the Philox counter-based generator keyed directly with the
-    ``(seed, stream_id)`` pair.  Distinct keys yield statistically
-    independent sequences (a documented property of that generator family),
-    each with period 2^256.  Uniforms come from :attr:`uniforms`, one
-    iterator that chains blocks of ``Generator.random`` draws (64, 256,
-    1024, 4096, then 16384 values); :meth:`next_uniform` is
-    ``next(rng.uniforms)``, and a hot loop calls ``next`` on the iterator
-    itself, which serves a buffered uniform with no Python frame.  The chain
-    is lazy: it draws the next block only when a draw finds the current one
-    spent.  The Beta sampler of this module draws from the same generator,
+    ``(seed, stream_id)`` pair, handed to it as a :class:`_KeySequence` so
+    that building a stream draws no OS entropy.  Distinct keys yield
+    statistically independent sequences (a documented property of that
+    generator family), each with period 2^256.  Uniforms come from
+    :attr:`uniforms`, one iterator that chains blocks of
+    ``Generator.random`` draws (64, 256, 1024, 4096, then 16384 values);
+    :meth:`next_uniform` is ``next(rng.uniforms)``, and a hot loop calls
+    ``next`` on the iterator itself, which serves a buffered uniform with
+    no Python frame.  The chain is lazy: it draws the next block only when
+    a draw finds the current one spent.  The Beta sampler of this module draws from the same generator,
     so a block and a sampler call each advance it, and the laziness keeps
     them in the order of the calls: the same calls give the same draws
     through either access path.
@@ -282,7 +301,7 @@ class RngStream:
         _check_integer("stream_id", stream_id, 0, 2**64)
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        self._gen = np.random.Generator(np.random.Philox(key=self._key()))
+        self._gen = np.random.Generator(np.random.Philox(self._key()))
         self.uniforms = chain.from_iterable(_blocks(self._gen.random, _BUFFER_SCHEDULE))
         # the count substream, built by the first count, and the chain of
         # counts of _count_mu, a mean sample_poisson has validated (NaN
@@ -291,8 +310,8 @@ class RngStream:
         self._counts = iter(())
         self._count_mu = math.nan
 
-    def _key(self) -> np.ndarray:
-        return np.array([self.seed, self.stream_id], dtype=np.uint64)
+    def _key(self) -> _KeySequence:
+        return _KeySequence(np.array([self.seed, self.stream_id], dtype=np.uint64))
 
     def next_uniform(self) -> float:
         """Next uniform variate in [0, 1)."""
@@ -327,7 +346,7 @@ def sample_poisson(rng: RngStream, mu: float) -> int:
         return 0
     if rng._count_gen is None:
         rng._count_gen = np.random.Generator(
-            np.random.Philox(key=rng._key(), counter=_COUNT_COUNTER)
+            np.random.Philox(rng._key(), counter=_COUNT_COUNTER)
         )
     draw = partial(rng._count_gen.poisson, mu)
     rng._counts = chain.from_iterable(_blocks(draw, _COUNT_SCHEDULE))

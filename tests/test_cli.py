@@ -640,6 +640,30 @@ def test_tpa_ising_csv_one_row_per_run(runner):
     assert float(rows[1]["ratio_estimate"]) > 0
 
 
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        pytest.param(
+            ["--width", "1", "--height", "1", "--epsilon", "0.2", "--delta", "0.1"],
+            "tpa_ising_degenerate_golden.csv",
+            id="degenerate",
+        ),
+        pytest.param(
+            ["--width", "2", "--height", "2", "--epsilon", "0.3", "--delta", "0.1",
+             "--seed", "1", "--replicates", "2"],
+            "tpa_ising_2x2_golden.csv",
+            id="2x2",
+        ),
+    ],
+)
+def test_tpa_ising_csv_golden_fixture(runner, args, golden):
+    # the column order of both kinds of run, and every value, byte for byte:
+    # the csv module ends each row with CRLF, so compare bytes, not text
+    result = runner.invoke(main, ["tpa-ising", *args, "--output-format", "csv"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (DATA_DIR / golden).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------

@@ -291,6 +291,17 @@ def test_gpas_running_time_bound():
     assert result.passed and not result.skipped
 
 
+def test_gpas_running_time_matches_exact_mean():
+    # at check_running_time's (mu, k), the exact mean draws (25.5) lie
+    # below its bound 1 + k/mu = 26, and the replicates' mean lies within 3
+    # standard errors of the exact mean on both sides
+    mu, k, n = 2.0, 50, 20_000
+    mean, variance = _mean_draws_oracle(mu, k)
+    assert k / mu < mean < 1.0 + k / mu
+    _, draws = replicate_gpas(mu, k, n, SEED)
+    assert abs(draws.mean() - mean) <= 3.0 * math.sqrt(variance / n), (draws.mean(), mean)
+
+
 def test_gpas_arrival_law_ks():
     result = check_distribution_law(20_000, SEED)
     assert result.passed and not result.skipped

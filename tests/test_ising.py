@@ -485,7 +485,12 @@ def test_histogram_and_family_compare_and_hash():
     assert hash(family) == hash(IsingGibbsFamily(hist))
     assert family == IsingGibbsFamily(hist)
     assert family in {IsingGibbsFamily(hist)}
-    assert IsingGibbsFamily(hist, beta_outer=2.0) not in {family}
+    # the histogram is the family's one field: the betas are fixed at 1 and 0
+    assert (family.beta_outer, family.beta_inner) == (1.0, 0.0)
+    for beta in ("beta_outer", "beta_inner"):
+        with pytest.raises(TypeError):
+            IsingGibbsFamily(hist, **{beta: 2.0})
+    assert IsingGibbsFamily(build_histogram(LatticeGraph.grid(2, 2))) not in {family}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from gpas.numerics import (
+    _COUNT_COUNTER,
     _COUNT_SCHEDULE,
     RngStream,
     _reg_upper_gamma,
@@ -440,6 +441,27 @@ def _count_substream(seed, stream):
     counter = np.array([0, 0, 0, 2**63], dtype=np.uint64)
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+@pytest.mark.parametrize("seed,stream", [(0, 0), (77, 5), (2**64 - 1, 3)])
+def test_stream_generators_are_keyed_as_philox_key(seed, stream):
+    # both generators of a stream, built from its key sequence, give the
+    # raw words, uniforms and counts of Philox(key=...) at their counters
+    rng = RngStream(seed, stream)
+    key = np.array([seed, stream], dtype=np.uint64)
+    twin = np.random.Generator(np.random.Philox(key=key))
+    count_twin = np.random.Generator(np.random.Philox(key=key, counter=_COUNT_COUNTER))
+    # the first count builds the count generator and draws its first block
+    assert sample_poisson(rng, 2.0) == count_twin.poisson(2.0, 64).tolist()[0]
+    for gen, twin in ((rng._gen, twin), (rng._count_gen, count_twin)):
+        ours, theirs = gen.bit_generator.state["state"], twin.bit_generator.state["state"]
+        assert ours["key"].tolist() == theirs["key"].tolist() == key.tolist()
+        assert ours["counter"].tolist() == theirs["counter"].tolist()
+        assert gen.bit_generator.random_raw(1_000).tolist() == (
+            twin.bit_generator.random_raw(1_000).tolist()
+        )
+        assert gen.random(5_000).tolist() == twin.random(5_000).tolist()
+        assert gen.poisson(15.4, 3_000).tolist() == twin.poisson(15.4, 3_000).tolist()
 
 
 @pytest.mark.parametrize("mu", [0.3, 2.0, 15.4, 1e4])
