@@ -11,9 +11,14 @@ independent replicates run on distinct stream ids.
 
 The deterministic side supplies exact Gamma tail probabilities and quantiles
 to the calibration and confidence-interval code: the regularized lower
-incomplete gamma function (a power series and a continued fraction), the
-upper tail taken from the continued fraction without cancellation, and Gamma
-quantiles from Boost's inverse chi-square CDF, through ``scipy.special``.
+incomplete gamma function, the upper tail taken from the continued fraction
+without cancellation, and Gamma quantiles from Boost's inverse chi-square
+CDF, through ``scipy.special``.  The lower function picks its method from
+its input and value alone: below ``x = shape + 1``, Boost's chi-square CDF
+(``scipy.special.chndtr``) where its value is at least 1e-4 and the shape at
+most 1e8, and the power series elsewhere; from ``shape + 1`` up, one minus
+the continued fraction.  :func:`reg_lower_gamma` gives the errors measured
+on each side.
 """
 
 from __future__ import annotations
@@ -46,6 +51,11 @@ __all__ = [
 
 _MAX_ITERATIONS = 1_000_000
 _REL_TERM_TOL = 1e-15
+# Where reg_lower_gamma's series branch takes Boost's chi-square CDF instead:
+# values from this tail up, at shapes up to this one, the region over which a
+# 40-digit reference bounds its error (tests/test_core.py)
+_CHNDTR_MIN_TAIL = 1e-4
+_CHNDTR_MAX_SHAPE = 1e8
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +70,19 @@ def reg_lower_gamma(shape: float, x: float) -> float:
     Gamma(shape, 1) random variable; the CDF of Gamma(shape, rate) at ``t``
     is therefore ``reg_lower_gamma(shape, rate * t)``.
 
-    Evaluated by the lower power series for ``x < shape + 1`` and via the
-    continued fraction of the upper function otherwise, iterating until the
-    relative term drops below 1e-15.
+    For ``x < shape + 1`` and ``shape <= 1e8``, a value of at least 1e-4 is
+    Boost's chi-square CDF ``scipy.special.chndtr(2 x, 2 shape, 0)``, at 1-3
+    µs a call.  Against a 40-digit reference it stays within 3.2e-15 relative
+    for tails from 1e-4 to 0.3 and 2e-14 up to 0.475; at the median its
+    error grows like ``sqrt(shape)``, to 3e-14 at shape 1e6 and 3.0e-13 at
+    1e8.  Any other ``x < shape + 1`` (a smaller or NaN value, or a larger
+    shape) takes the lower power series, summed until the relative term
+    drops below 1e-15 and closed by a bound on the terms left.  It stays
+    within 2.5e-14 for tails from 1e-4 down to 1e-20 up to shape 1e8, where
+    ``chndtr`` is off by up to 2.4e-13 (and by 1.1e-8 at a 4.7e-89 tail), but
+    its cost grows with ``sqrt(shape)``: 100-200 µs at shape 88000.  For
+    ``x >= shape + 1`` the value is one minus the continued fraction of the
+    upper function.
 
     Raises:
         ValueError: if ``shape <= 0`` or ``x < 0`` (or either is not finite).
@@ -75,6 +95,10 @@ def reg_lower_gamma(shape: float, x: float) -> float:
     if x == 0.0:
         return 0.0
     if x < shape + 1.0:
+        if shape <= _CHNDTR_MAX_SHAPE:
+            tail = float(special.chndtr(2.0 * x, 2.0 * shape, 0.0))
+            if tail >= _CHNDTR_MIN_TAIL:
+                return tail
         return _lower_series(shape, x)
     return 1.0 - _upper_continued_fraction(shape, x)
 
@@ -159,6 +183,10 @@ def _lower_series(shape: float, x: float) -> float:
         term *= x / denom
         total += term
         if term < total * _REL_TERM_TOL:
+            # the ratios x / (denom + j) of the terms left fall with j, so
+            # the geometric sum at the first of them bounds their sum; near
+            # shape 1e8 that sum is about 1000 times the last term
+            total += term * x / (denom + 1.0 - x)
             return total * _gamma_prefactor(shape, x)
     raise ArithmeticError(
         f"lower gamma series did not converge for shape={shape}, x={x}"

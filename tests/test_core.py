@@ -22,7 +22,13 @@ from gpas.core import (
     gpas,
 )
 from gpas.errors import BudgetExceededError, CalibrationError
-from gpas.numerics import POISSON_MEAN_MAX, RngStream, reg_lower_gamma, sample_poisson
+from gpas.numerics import (
+    POISSON_MEAN_MAX,
+    RngStream,
+    gamma_quantile,
+    reg_lower_gamma,
+    sample_poisson,
+)
 from gpas.validation import (
     check_coverage,
     check_distribution_law,
@@ -411,6 +417,60 @@ def test_failure_probability_against_mpmath():
             assert float(abs(failure_probability(k, epsilon) / exact - 1)) <= 1e-12, (k, epsilon)
             checked += 1
         assert checked > 50
+
+
+def _hypergeometric_lower_gamma(mpmath, k, x):
+    # P(k, x) = x^k e^-x / Gamma(k + 1) * 1F1(1; k + 1; x), a sum of
+    # positive terms that mpmath finds in under 0.1 s at any k up to 1e8
+    x = mpmath.mpf(x)
+    prefactor = mpmath.exp(k * mpmath.log(x) - x - mpmath.loggamma(k + 1))
+    return mpmath.hyp1f1(1, k + 1, x, maxterms=10**7) * prefactor
+
+
+# Relative error allowed against the 40-digit reference: the worst measured
+# was 2.5e-14 (the series at k = 1e8 and a 1e-6 tail).  Below about 1e-20
+# the exponent of the prefactor grows, and exp turns its rounding into up to
+# 3.1e-16 |ln P| relative; the bound allows 2 ulps of |ln P|.
+_REFERENCE_REL_TOL = 4e-14
+
+
+def _reference_bound(exact):
+    return max(_REFERENCE_REL_TOL, 2.0 * math.ulp(1.0) * -math.log(exact))
+
+
+def test_gamma_tails_against_hypergeometric_reference():
+    # reg_lower_gamma at tails on both sides of 1e-4, where it switches from
+    # Boost's chndtr to the series, and failure_probability over k from 3
+    # to 1e8 and eps in [0.0003, 0.5]; the upper tail is mpmath.gammainc's,
+    # as in test_failure_probability_against_mpmath
+    mpmath = pytest.importorskip("mpmath")
+    ks = np.unique(np.rint(np.geomspace(3, 1e8, 15)).astype(int)).tolist()
+    tails = (0.3, 1e-2, 1e-3, 2e-4, 1.0001e-4, 0.9999e-4, 5e-5, 1e-6, 1e-10, 1e-20)
+    checked = 0
+    with mpmath.workdps(40):
+        for k in ks:
+            for tail in tails:
+                x = gamma_quantile(k, tail)
+                exact = _hypergeometric_lower_gamma(mpmath, k, x)
+                assert float(abs(reg_lower_gamma(k, x) / exact - 1)) <= _REFERENCE_REL_TOL, (k, x)
+            # the last point of the series branch, where P is about 1/2: there
+            # chndtr's error grows like sqrt(k), to 2.6e-14 at k = 1e6 and
+            # 3.0e-13 at k = 1e8
+            x = math.nextafter(k + 1.0, 0.0)
+            exact = _hypergeometric_lower_gamma(mpmath, k, x)
+            bound = max(_REFERENCE_REL_TOL, 4e-17 * math.sqrt(k))
+            assert float(abs(reg_lower_gamma(k, x) / exact - 1)) <= bound, k
+            for epsilon in np.geomspace(0.0003, 0.5, 12).tolist():
+                low = _hypergeometric_lower_gamma(mpmath, k, (k - 1) / (1.0 + epsilon))
+                high = mpmath.gammainc(k, mpmath.mpf((k - 1) / (1.0 - epsilon)), mpmath.inf,
+                                       regularized=True)
+                exact = low + high
+                if exact < 1e-300:
+                    continue
+                error = float(abs(failure_probability(k, epsilon) / exact - 1))
+                assert error <= _reference_bound(float(exact)), (k, epsilon)
+                checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize(

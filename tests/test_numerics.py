@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 from scipy.integrate import quad
 
 from gpas.numerics import (
     _COUNT_COUNTER,
     _COUNT_SCHEDULE,
     RngStream,
+    _lower_series,
     _reg_upper_gamma,
     gamma_quantile,
     reg_lower_gamma,
@@ -111,6 +112,35 @@ def test_reg_lower_gamma_monotone_and_limits():
         assert abs(values[-1] - 1.0) < 1e-10
 
 
+def _chndtr_lower_gamma(shape, x):
+    return float(special.chndtr(2.0 * x, 2.0 * shape, 0.0))
+
+
+def test_reg_lower_gamma_takes_chndtr_only_on_its_region():
+    # below shape + 1 the value is Boost's from a tail of 1e-4 up at shapes
+    # up to 1e8, and the series' otherwise, bit for bit on either side
+    x = gamma_quantile(88000.0, 1e-4)
+    while _chndtr_lower_gamma(88000.0, x) >= 1e-4:
+        x = math.nextafter(x, 0.0)
+    below, above = x, math.nextafter(x, math.inf)
+    assert _chndtr_lower_gamma(88000.0, above) >= 1e-4
+    # a tail of about 1e-3, at the largest shape chndtr serves and the next
+    # float up
+    top = 1e8 - 3.09e4
+    cases = [(88000.0, below, False), (88000.0, above, True),
+             (1e8, top, True), (math.nextafter(1e8, math.inf), top, False)]
+    for shape, x, takes_chndtr in cases:
+        chndtr_value, series_value = _chndtr_lower_gamma(shape, x), _lower_series(shape, x)
+        assert chndtr_value != series_value
+        assert reg_lower_gamma(shape, x) == (chndtr_value if takes_chndtr else series_value)
+    assert 5e-4 < _chndtr_lower_gamma(1e8, top) < 2e-3
+
+
+def test_reg_lower_gamma_takes_the_series_on_a_nan_from_chndtr(monkeypatch):
+    monkeypatch.setattr(special, "chndtr", lambda *args: math.nan)
+    assert reg_lower_gamma(200.0, 190.0) == _lower_series(200.0, 190.0) > 0.2
+
+
 @pytest.mark.parametrize("shape,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5),
                                      (math.nan, 1.0), (1.0, math.inf)])
 def test_reg_lower_gamma_domain_errors(shape, x):
@@ -153,8 +183,9 @@ def test_reg_upper_gamma_complements_lower():
 @pytest.mark.parametrize("dtype", [np.uint64, np.uint32, np.int64])
 @pytest.mark.parametrize("shape,x", [(3, 1.0), (3, 10.0), (200, 150.0), (200, 260.0)])
 def test_gamma_tails_take_numpy_integer_shapes(dtype, shape, x):
-    # x < shape + 1 takes the series, otherwise the continued fraction, whose
-    # -i * (i - shape) wraps around if computed in an unsigned type
+    # x < shape + 1 takes chndtr or the series, otherwise the continued
+    # fraction, whose -i * (i - shape) wraps around if computed in an
+    # unsigned type
     assert reg_lower_gamma(dtype(shape), x) == reg_lower_gamma(shape, x)
     assert _reg_upper_gamma(dtype(shape), x) == _reg_upper_gamma(shape, x)
 
