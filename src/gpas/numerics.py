@@ -15,10 +15,10 @@ incomplete gamma function, the upper tail taken from the continued fraction
 without cancellation, and Gamma quantiles from Boost's inverse chi-square
 CDF, through ``scipy.special``.  The lower function picks its method from
 its input and value alone: below ``x = shape + 1``, Boost's chi-square CDF
-(``scipy.special.chndtr``) where its value is at least 1e-4 and the shape at
-most 1e8, and the power series elsewhere; from ``shape + 1`` up, one minus
-the continued fraction.  :func:`reg_lower_gamma` gives the errors measured
-on each side.
+(``scipy.special.chndtr``) where its value is from 1e-4 to 0.45 and the
+shape at most 1e8, and the power series elsewhere; from ``shape + 1`` up,
+one minus the continued fraction.  :func:`reg_lower_gamma` gives the errors
+measured on each side.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ __all__ = [
 _MAX_ITERATIONS = 1_000_000
 _REL_TERM_TOL = 1e-15
 # Where reg_lower_gamma's series branch takes Boost's chi-square CDF instead:
-# values from this tail up, at shapes up to this one, the region over which a
-# 40-digit reference bounds its error (tests/test_core.py)
+# values between these two tails, at shapes up to this one, the region over
+# which a 40-digit reference bounds its error (tests/test_core.py)
 _CHNDTR_MIN_TAIL = 1e-4
+_CHNDTR_MAX_TAIL = 0.45
 _CHNDTR_MAX_SHAPE = 1e8
 
 
@@ -70,19 +71,21 @@ def reg_lower_gamma(shape: float, x: float) -> float:
     Gamma(shape, 1) random variable; the CDF of Gamma(shape, rate) at ``t``
     is therefore ``reg_lower_gamma(shape, rate * t)``.
 
-    For ``x < shape + 1`` and ``shape <= 1e8``, a value of at least 1e-4 is
+    For ``x < shape + 1`` and ``shape <= 1e8``, a value from 1e-4 to 0.45 is
     Boost's chi-square CDF ``scipy.special.chndtr(2 x, 2 shape, 0)``, at 1-3
     µs a call.  Against a 40-digit reference it stays within 3.2e-15 relative
-    for tails from 1e-4 to 0.3 and 2e-14 up to 0.475; at the median its
-    error grows like ``sqrt(shape)``, to 3e-14 at shape 1e6 and 3.0e-13 at
-    1e8.  Any other ``x < shape + 1`` (a smaller or NaN value, or a larger
+    for tails from 1e-4 to 0.3 and 1.1e-14 up to 0.45.  Within about 50 of
+    the median, ``|x - shape| < 50``, its error is about
+    ``3e-17 sqrt(shape)``, 2.9e-13 at shape 1e8; a value above 0.45 lies in
+    that band at every shape from about 1.6e5 up.  Any other
+    ``x < shape + 1`` (a value outside [1e-4, 0.45], a NaN, or a larger
     shape) takes the lower power series, summed until the relative term
     drops below 1e-15 and closed by a bound on the terms left.  It stays
     within 2.5e-14 for tails from 1e-4 down to 1e-20 up to shape 1e8, where
-    ``chndtr`` is off by up to 2.4e-13 (and by 1.1e-8 at a 4.7e-89 tail), but
-    its cost grows with ``sqrt(shape)``: 100-200 µs at shape 88000.  For
-    ``x >= shape + 1`` the value is one minus the continued fraction of the
-    upper function.
+    ``chndtr`` is off by up to 2.4e-13 (and by 1.1e-8 at a 4.7e-89 tail),
+    and within 4.3e-14 from 0.45 to the median, but its cost grows with
+    ``sqrt(shape)``: 100-200 µs at shape 88000.  For ``x >= shape + 1`` the
+    value is one minus the continued fraction of the upper function.
 
     Raises:
         ValueError: if ``shape <= 0`` or ``x < 0`` (or either is not finite).
@@ -97,7 +100,7 @@ def reg_lower_gamma(shape: float, x: float) -> float:
     if x < shape + 1.0:
         if shape <= _CHNDTR_MAX_SHAPE:
             tail = float(special.chndtr(2.0 * x, 2.0 * shape, 0.0))
-            if tail >= _CHNDTR_MIN_TAIL:
+            if _CHNDTR_MIN_TAIL <= tail <= _CHNDTR_MAX_TAIL:
                 return tail
         return _lower_series(shape, x)
     return 1.0 - _upper_continued_fraction(shape, x)

@@ -4,13 +4,13 @@ import csv
 import io
 import json
 import math
-from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from cli_cases import CASES, DATA_DIR, SCHEMA, TEST_IDS, check, named_cases, prepare
 from gpas.cli import main
 from gpas.core import failure_probability
 from gpas.errors import (
@@ -21,13 +21,10 @@ from gpas.errors import (
 )
 from gpas.numerics import POISSON_MEAN_MAX
 
-DATA_DIR = Path(__file__).parent / "data"
-
 
 @pytest.fixture(scope="module")
 def schema():
-    text = resources.files("gpas").joinpath("schemas/output.schema.json").read_text()
-    return json.loads(text)
+    return SCHEMA
 
 
 @pytest.fixture()
@@ -56,12 +53,6 @@ def test_calibrate_reference_index(runner, schema):
     assert payload["f_k"] <= 1e-6 < payload["f_km1"]
 
 
-def test_calibrate_domain_error_names_epsilon(runner):
-    result = runner.invoke(main, ["calibrate", "--epsilon", "1.5", "--delta", "0.1"])
-    assert result.exit_code == 2
-    assert "epsilon" in result.output
-
-
 def test_calibrate_matches_independent_scan(runner, schema):
     payload = invoke_json(
         runner, schema, ["calibrate", "--epsilon", "0.2", "--delta", "0.005"]
@@ -72,33 +63,6 @@ def test_calibrate_matches_independent_scan(runner, schema):
     assert all(
         failure_probability(i, 0.2) > 0.005 for i in range(max(3, k - 20), k)
     )
-
-
-def test_calibrate_search_cap_exits_3(runner):
-    result = runner.invoke(
-        main,
-        ["calibrate", "--epsilon", "0.05", "--delta", "1e-10", "--k-cap", "1000"],
-    )
-    assert result.exit_code == 3
-    # the minimal k is 2561, bracketed in (2504, 2652] from the normal
-    # guess 2393 and found by bisection, so the cap is checked on it
-    args = ["calibrate", "--epsilon", "0.1", "--delta", "1e-6", "--k-cap"]
-    assert runner.invoke(main, args + ["2560"]).exit_code == 3
-    result = runner.invoke(main, args + ["2561"])
-    assert result.exit_code == 0
-    assert json.loads(result.stdout)["k"] == 2561
-
-
-def test_calibrate_tail_that_does_not_converge_exits_3(runner):
-    # the lower gamma series gives up at the first probe, k = 66348966011:
-    # a calibration error like a cap hit, one line and nothing on stdout
-    result = runner.invoke(
-        main, ["calibrate", "--epsilon", "1e-5", "--delta", "0.01", "--k-cap", "100000000000"]
-    )
-    assert result.exit_code == 3
-    assert result.stdout == ""
-    assert result.stderr.count("error:") == 1
-    assert "k=66348966011, epsilon=1e-05" in result.stderr
 
 
 def test_calibrate_accepts_a_delta_whose_coverage_rounds_to_one(runner, schema):
@@ -112,32 +76,12 @@ def test_calibrate_accepts_a_delta_whose_coverage_rounds_to_one(runner, schema):
 # ---------------------------------------------------------------------------
 
 
-def test_estimate_golden_fixture(runner, schema):
-    result = runner.invoke(
-        main,
-        ["estimate", "--mu", "2", "--epsilon", "0.2", "--delta", "0.1", "--seed", "0"],
-    )
-    assert result.exit_code == 0
-    golden = (DATA_DIR / "estimate_golden.json").read_text()
-    assert result.stdout == golden
-    jsonschema.validate(json.loads(result.stdout), schema)
-
-
 def test_estimate_byte_identical_reruns(runner):
     args = ["estimate", "--mu", "3.5", "--epsilon", "0.25", "--delta", "0.05",
             "--seed", "42"]
     first = runner.invoke(main, args)
     second = runner.invoke(main, args)
     assert first.stdout == second.stdout
-
-
-def test_estimate_zero_mean_exits_3(runner):
-    result = runner.invoke(
-        main,
-        ["estimate", "--mu", "0", "--epsilon", "0.2", "--delta", "0.1",
-         "--max-calls", "1000"],
-    )
-    assert result.exit_code == 3
 
 
 def test_estimate_seed_env_override(runner):
@@ -176,21 +120,6 @@ def test_validate_underpowered_run_warns_and_exits_zero(runner, schema):
     jsonschema.validate(payload, schema)
     assert payload["all_pass"]
     assert any(prop["skipped"] for prop in payload["properties"])
-
-
-def test_validate_powered_run_passes(runner, schema):
-    payload = invoke_json(
-        runner, schema, ["validate", "--replicates", "600", "--seed", "0"]
-    )
-    assert payload["all_pass"]
-    assert all(not prop["skipped"] for prop in payload["properties"])
-    # every property's statistic, threshold and detail, bit for bit; the
-    # draws come from numpy's generator, so the pin holds within one version
-    golden = json.loads((DATA_DIR / "validate_golden.json").read_text())
-    fields = ("name", "statistic", "threshold", "detail")
-    assert [[prop[f] for f in fields] for prop in payload["properties"]] == [
-        [prop[f] for f in fields] for prop in golden["properties"]
-    ]
 
 
 def test_validate_csv_one_row_per_property(runner):
@@ -295,59 +224,6 @@ def test_schema_ties_total_calls_to_degeneracy(runner, schema):
         jsonschema.validate({**degenerate, "total_tpa_calls": 1}, schema)
 
 
-def test_tpa_ising_golden_fixture(runner, schema):
-    # pins the replicate loop's stream ids: replicate i draws from (seed, i)
-    result = runner.invoke(
-        main,
-        ["tpa-ising", "--width", "3", "--height", "3", "--epsilon", "0.2",
-         "--delta", "0.1", "--replicates", "3", "--seed", "0"],
-    )
-    assert result.exit_code == 0
-    assert result.stdout == (DATA_DIR / "tpa_ising_golden.json").read_text()
-    jsonschema.validate(json.loads(result.stdout), schema)
-
-
-def test_tpa_ising_4x4_golden_fixture(runner, schema):
-    # pins the headline 4x4 workload's descents bit for bit: every uniform
-    # a descent draws, every count and every estimate
-    result = runner.invoke(
-        main,
-        ["tpa-ising", "--width", "4", "--height", "4", "--epsilon", "0.2",
-         "--delta", "0.01", "--replicates", "2", "--seed", "0"],
-    )
-    assert result.exit_code == 0
-    assert result.stdout == (DATA_DIR / "tpa_ising_4x4_golden.json").read_text()
-    jsonschema.validate(json.loads(result.stdout), schema)
-
-
-def test_tpa_ising_6x4_golden_fixture(runner, schema):
-    # the ising-24v grid: beta = 1 is the sampler's tabulated top point, so
-    # every descent's first draw takes a path the 4x4 golden does not pin
-    result = runner.invoke(
-        main,
-        ["tpa-ising", "--width", "6", "--height", "4", "--epsilon", "0.2",
-         "--delta", "0.01", "--replicates", "2", "--seed", "0"],
-    )
-    assert result.exit_code == 0
-    assert result.stdout == (DATA_DIR / "tpa_ising_6x4_golden.json").read_text()
-    jsonschema.validate(json.loads(result.stdout), schema)
-
-
-def test_tpa_ising_size_bound_exits_2(runner):
-    result = runner.invoke(
-        main,
-        ["tpa-ising", "--width", "5", "--height", "5", "--epsilon", "0.2",
-         "--delta", "0.01"],
-    )
-    assert result.exit_code == 2
-
-
-def test_tpa_ising_requires_geometry(runner):
-    result = runner.invoke(main, ["tpa-ising", "--epsilon", "0.2", "--delta", "0.01"])
-    assert result.exit_code == 2
-    assert "--edge-file" in result.output
-
-
 def test_tpa_ising_edge_file_matches_grid(runner, schema, tmp_path):
     edge_file = tmp_path / "grid22.txt"
     edge_file.write_text("0 1\n2 3\n0 2\n1 3\n", encoding="utf-8")
@@ -365,17 +241,6 @@ def test_tpa_ising_edge_file_matches_grid(runner, schema, tmp_path):
     assert from_file["ratio_estimate"] == from_grid["ratio_estimate"]
     assert from_file["total_tpa_calls"] == from_grid["total_tpa_calls"]
     assert from_file["width"] is None and from_grid["width"] == 2
-
-
-def test_tpa_ising_rejects_conflicting_geometry(runner, tmp_path):
-    edge_file = tmp_path / "e.txt"
-    edge_file.write_text("0 1\n", encoding="utf-8")
-    result = runner.invoke(
-        main,
-        ["tpa-ising", "--width", "2", "--height", "2", "--edge-file",
-         str(edge_file), "--epsilon", "0.2", "--delta", "0.1"],
-    )
-    assert result.exit_code == 2
 
 
 def test_tpa_ising_replicates_aggregate(runner, schema):
@@ -436,129 +301,6 @@ def test_bench_csv_row(runner):
     assert len(rows) == 1
     assert float(rows[0]["mean_total_calls"]) > 0
     assert rows[0]["command"] == "bench"
-
-
-def test_bench_golden_fixture(runner, schema):
-    result = runner.invoke(
-        main,
-        ["bench", "--epsilon", "0.2", "--delta", "0.01", "--mu", "15.4",
-         "--replicates", "50", "--seed", "0"],
-    )
-    assert result.exit_code == 0
-    assert result.stdout == (DATA_DIR / "bench_golden.json").read_text()
-    jsonschema.validate(json.loads(result.stdout), schema)
-
-
-def test_bench_survives_a_log_ratio_beyond_the_float_range(runner, schema):
-    # r_hat2 lands above ln(DBL_MAX) ~ 709.78, whose exp is inf in the
-    # report; bench reports call counts only, so it exits 0 with its payload
-    payload = invoke_json(
-        runner, schema,
-        ["bench", "--mu", "750", "--epsilon", "0.3", "--delta", "0.99", "--replicates", "1"],
-    )
-    assert payload["mu"] == 750.0
-    assert payload["mean_total_calls"] > 0
-
-
-def test_bench_rejects_zero_mu(runner):
-    result = runner.invoke(
-        main, ["bench", "--epsilon", "0.2", "--delta", "0.2", "--mu", "0"]
-    )
-    assert result.exit_code == 2
-
-
-_TIGHT = ["--epsilon", "0.0001", "--delta", "0.01"]
-_GRID_2X2 = ["tpa-ising", "--width", "2", "--height", "2", "--epsilon", "0.2",
-             "--delta", "0.01"]
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        pytest.param(["estimate", "--mu", "2", *_TIGHT], id="estimate-k-cap"),
-        pytest.param(["bench", "--mu", "2", "--replicates", "3", *_TIGHT],
-                     id="bench-k-cap"),
-        # (ndtri(delta / 2) / epsilon) ** 2 overflows: the search starts at the cap
-        pytest.param(["calibrate", "--epsilon", "1e-160", "--delta", "0.1"],
-                     id="calibrate-guess-overflow"),
-        pytest.param(["estimate", "--mu", "2", "--epsilon", "1e-160", "--delta", "0.1"],
-                     id="estimate-guess-overflow"),
-        pytest.param([*_GRID_2X2, "--max-tpa-calls", "20"], id="phase1-budget-20"),
-        pytest.param([*_GRID_2X2, "--max-tpa-calls", "60"], id="phase1-budget-60"),
-        pytest.param([*_GRID_2X2, "--max-tpa-calls", "200"], id="phase2-budget"),
-        # K24's log-ratio, 260, needs a phase-2 k above the 1e7 cap
-        pytest.param(["tpa-ising", "--edge-file", "K24", "--epsilon", "0.2",
-                      "--delta", "0.01"], id="phase2-k-cap"),
-    ],
-)
-def test_runtime_error_exits_3_with_one_error_line(runner, tmp_path, args):
-    k24 = tmp_path / "k24.txt"
-    k24.write_text(
-        "".join(f"{u} {v}\n" for u in range(24) for v in range(u + 1, 24)),
-        encoding="utf-8",
-    )
-    args = [str(k24) if arg == "K24" else arg for arg in args]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 3, result.output
-    assert result.stdout == ""
-    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1
-
-
-@pytest.mark.parametrize("command, at_limit_exit", [("estimate", 0), ("bench", 3)])
-def test_mu_above_numpys_poisson_limit_is_a_usage_error(runner, command, at_limit_exit):
-    # the limit itself passes the option check: one estimate runs on it, and
-    # bench stops on phase 2's calibration cap, a runtime error
-    args = [command, "--epsilon", "0.2", "--delta", "0.1", "--mu"]
-    at_limit = runner.invoke(main, [*args, repr(POISSON_MEAN_MAX)])
-    assert at_limit.exit_code == at_limit_exit, at_limit.output
-    above = runner.invoke(main, [*args, repr(math.nextafter(POISSON_MEAN_MAX, math.inf))])
-    assert above.exit_code == 2, above.output
-    assert above.stdout == ""
-    assert "Poisson limit" in above.stderr
-
-
-_SEEDED = {
-    "estimate": ["estimate", "--mu", "2", "--epsilon", "0.2", "--delta", "0.1"],
-    # 100 replicates: the first size at which a check builds a stream
-    "validate": ["validate", "--replicates", "100"],
-    "tpa-ising": ["tpa-ising", "--width", "2", "--height", "2", "--epsilon", "0.3",
-                  "--delta", "0.2"],
-    "bench": ["bench", "--epsilon", "0.3", "--delta", "0.2", "--mu", "5",
-              "--replicates", "1"],
-}
-
-
-@pytest.mark.parametrize("command", list(_SEEDED))
-def test_seed_above_64_bits_is_a_usage_error(runner, command):
-    # a stream key is two unsigned 64-bit words, so 2^64 is out of range by
-    # flag and by environment alike
-    too_big = str(2**64)
-    for args, env in (
-        ([*_SEEDED[command], "--seed", too_big], None),
-        (_SEEDED[command], {"GPAS_SEED": too_big}),
-    ):
-        result = runner.invoke(main, args, env=env)
-        assert result.exit_code == 2, result.output
-        assert result.stdout == ""
-        assert "--seed" in result.stderr
-
-
-def test_largest_seed_runs_and_fits_the_schema(runner, schema):
-    payload = invoke_json(
-        runner, schema, [*_SEEDED["estimate"], "--seed", str(2**64 - 1)]
-    )
-    assert payload["seed"] == 2**64 - 1
-
-
-@pytest.mark.parametrize("command", ["estimate", "bench"])
-@pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
-def test_non_finite_mu_is_a_usage_error(runner, command, mu):
-    result = runner.invoke(
-        main, [command, "--epsilon", "0.2", "--delta", "0.2", "--mu", mu]
-    )
-    assert result.exit_code == 2
-    assert "finite" in result.output
 
 
 _ABOVE_POISSON_LIMIT = repr(math.nextafter(POISSON_MEAN_MAX, math.inf))
@@ -640,45 +382,9 @@ def test_tpa_ising_csv_one_row_per_run(runner):
     assert float(rows[1]["ratio_estimate"]) > 0
 
 
-@pytest.mark.parametrize(
-    "args, golden",
-    [
-        pytest.param(
-            ["--width", "1", "--height", "1", "--epsilon", "0.2", "--delta", "0.1"],
-            "tpa_ising_degenerate_golden.csv",
-            id="degenerate",
-        ),
-        pytest.param(
-            ["--width", "2", "--height", "2", "--epsilon", "0.3", "--delta", "0.1",
-             "--seed", "1", "--replicates", "2"],
-            "tpa_ising_2x2_golden.csv",
-            id="2x2",
-        ),
-    ],
-)
-def test_tpa_ising_csv_golden_fixture(runner, args, golden):
-    # the column order of both kinds of run, and every value, byte for byte:
-    # the csv module ends each row with CRLF, so compare bytes, not text
-    result = runner.invoke(main, ["tpa-ising", *args, "--output-format", "csv"])
-    assert result.exit_code == 0, result.output
-    assert result.stdout_bytes == (DATA_DIR / golden).read_bytes()
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
-
-
-def test_output_file_keeps_stdout_clean(runner, tmp_path):
-    target = tmp_path / "out.json"
-    result = runner.invoke(
-        main,
-        ["calibrate", "--epsilon", "0.2", "--delta", "0.05", "--output", str(target)],
-    )
-    assert result.exit_code == 0
-    assert result.stdout == ""
-    payload = json.loads(target.read_text(encoding="utf-8"))
-    assert payload["command"] == "calibrate"
 
 
 @pytest.mark.parametrize("name", ["missing/x.json", "missing/"])
@@ -749,12 +455,54 @@ def test_payload_does_not_follow_the_argument_order(runner, args, permuted):
         assert given.stdout == reordered.stdout
 
 
-def test_stdout_carries_only_payload(runner):
-    result = runner.invoke(
-        main,
-        ["tpa-ising", "--width", "1", "--height", "2", "--epsilon", "0.3",
-         "--delta", "0.2", "--seed", "2"],
-    )
-    assert result.exit_code == 0
-    json.loads(result.stdout)  # parses as a single JSON document
-    assert "running" in result.stderr
+# ---------------------------------------------------------------------------
+# the cases of tests/cli_cases.py, run in process
+# ---------------------------------------------------------------------------
+
+
+def _run_cases(test_id, tmp_path):
+    for i, (name, case) in enumerate(named_cases(test_id)):
+        tmp = tmp_path / str(i)
+        tmp.mkdir()
+        args, env = prepare(case, tmp)
+        result = CliRunner().invoke(main, args, env=env, catch_exceptions=False)
+        check(name, case, result.exit_code, result.stdout_bytes, result.stderr, tmp)
+
+
+def _manifest_test(name, params):
+    # one test per name in the manifest, parametrised by its bracketed ids,
+    # so each case keeps the test id it had before it moved there
+    if params:
+        @pytest.mark.parametrize("param", params)
+        def run(tmp_path, param):
+            _run_cases(f"{name}[{param}]", tmp_path)
+    else:
+        def run(tmp_path):
+            _run_cases(name, tmp_path)
+    run.__name__ = name
+    return run
+
+
+def _manifest_tests():
+    params = {}
+    for test_id in TEST_IDS:
+        name, _, param = test_id.partition("[")
+        params.setdefault(name, []).extend([param.rstrip("]")] if param else [])
+    return {name: _manifest_test(name, ids) for name, ids in params.items()}
+
+
+globals().update(_manifest_tests())
+
+
+def test_every_golden_is_named_and_every_named_golden_exists():
+    named = {
+        expected
+        for case in CASES
+        for expected in (case.get("stdout"), *case.get("files", {}).values())
+        if isinstance(expected, str)
+    }
+    assert sorted(name for name in named if not (DATA_DIR / name).is_file()) == []
+    tests = "".join(path.read_text() for path in Path(__file__).parent.glob("test_*.py"))
+    unnamed = [path.name for path in DATA_DIR.glob("*_golden.*")
+               if path.name not in named and path.name not in tests]
+    assert unnamed == []

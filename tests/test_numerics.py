@@ -117,17 +117,24 @@ def _chndtr_lower_gamma(shape, x):
 
 
 def test_reg_lower_gamma_takes_chndtr_only_on_its_region():
-    # below shape + 1 the value is Boost's from a tail of 1e-4 up at shapes
-    # up to 1e8, and the series' otherwise, bit for bit on either side
+    # below shape + 1 the value is Boost's for tails from 1e-4 to 0.45 at
+    # shapes up to 1e8, and the series' otherwise, bit for bit on either side
     x = gamma_quantile(88000.0, 1e-4)
     while _chndtr_lower_gamma(88000.0, x) >= 1e-4:
         x = math.nextafter(x, 0.0)
     below, above = x, math.nextafter(x, math.inf)
     assert _chndtr_lower_gamma(88000.0, above) >= 1e-4
+    x = gamma_quantile(88000.0, 0.45)
+    while _chndtr_lower_gamma(88000.0, x) > 0.45:
+        x = math.nextafter(x, 0.0)
+    while _chndtr_lower_gamma(88000.0, math.nextafter(x, math.inf)) <= 0.45:
+        x = math.nextafter(x, math.inf)
+    at_cap, past_cap = x, math.nextafter(x, math.inf)
     # a tail of about 1e-3, at the largest shape chndtr serves and the next
     # float up
     top = 1e8 - 3.09e4
     cases = [(88000.0, below, False), (88000.0, above, True),
+             (88000.0, at_cap, True), (88000.0, past_cap, False),
              (1e8, top, True), (math.nextafter(1e8, math.inf), top, False)]
     for shape, x, takes_chndtr in cases:
         chndtr_value, series_value = _chndtr_lower_gamma(shape, x), _lower_series(shape, x)
