@@ -11,7 +11,9 @@ and exposes everything through a reproducible CLI (:mod:`gpas.cli`).
 Each public name is declared once, in the ``__all__`` of the module that
 defines it (:mod:`gpas.core`, :mod:`gpas.errors`, :mod:`gpas.ising`,
 :mod:`gpas.numerics` and :mod:`gpas.tpa`); the package re-exports every one
-of them, and its ``__all__`` is their sorted union.
+of them, and its ``__all__`` is their sorted union.  The version is
+written once, as ``__version__``, which ``pyproject.toml`` reads for the
+package metadata.
 """
 
 from . import core, errors, ising, numerics, tpa

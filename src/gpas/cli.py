@@ -12,11 +12,13 @@ Standard output carries exclusively the machine-readable payload (JSON by
 default, CSV on request); progress and warnings go to standard error.  A
 payload is the command's name, then every input option in the order the
 command declares them, then the command's results; one CSV row holds the
-flattened payload, unless the command gives its own rows.  Every
-command is deterministic under fixed flags and seed.  Exit codes: 0 success,
-1 validation failure, 2 usage or domain error, 3 runtime error (a draw
-budget, calibration cap or descent step cap exhausted).  The default seed
-can be overridden with the GPAS_SEED environment variable.
+flattened payload, unless the command gives its own rows: ``validate``
+gives one per property, and ``tpa-ising`` one per replicate, its index
+then the run's fields.  Every command is deterministic under fixed flags
+and seed.  Exit codes: 0 success, 1 validation failure, 2 usage or domain
+error, 3 runtime error (a draw budget, calibration cap or descent step cap
+exhausted).  The default seed can be overridden with the GPAS_SEED
+environment variable.
 """
 
 from __future__ import annotations
@@ -257,7 +259,9 @@ def _single_run_fields(report, z_inner: float, delta: float) -> dict:
 
     A graph with no edges has a constant Z(beta), so ``report`` is None:
     the run is then the exact ratio 1, with the interval [1, 1] at
-    coverage 1 - delta, no phase estimates and no descent.  Both kinds of
+    coverage 1 - delta, no phase estimates and no descent.  Any edge makes
+    the log-ratio at least #E/2 >= 0.5 (Jensen), so a budget hit on such a
+    graph is a budget error (exit 3), never a ratio of 1.  Both kinds of
     run list the same fields in the same order: the flags, the ratio and
     Z(1), then the report's other fields in their declared order.
     """

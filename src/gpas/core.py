@@ -387,7 +387,9 @@ def confidence_interval(result: GpasResult, coverage: float) -> ConfidenceInterv
     one is :func:`~gpas.numerics.gamma_quantile` at the tail, the upper one
     ``scipy.special.gammainccinv`` at the tail.  The quantile at 1 - tail
     would round the tail to the float spacing below 1 (1.1e-16), and no
-    such level is left for a tail of 2^-54.
+    such level is left for a tail of 2^-54.  Both endpoints stay within
+    1e-14 relative of mpmath for k from 2 to 1.5e6 and tails from 2^-54 to
+    0.25 (``test_confidence_interval_endpoints_against_mpmath``).
     """
     _check_unit_interval("coverage", coverage)
     tail = 0.5 * (1.0 - coverage)

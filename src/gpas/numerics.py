@@ -301,10 +301,10 @@ class RngStream:
     :meth:`next_uniform` is ``next(rng.uniforms)``, and a hot loop calls
     ``next`` on the iterator itself, which serves a buffered uniform with
     no Python frame.  The chain is lazy: it draws the next block only when
-    a draw finds the current one spent.  The Beta sampler of this module draws from the same generator,
-    so a block and a sampler call each advance it, and the laziness keeps
-    them in the order of the calls: the same calls give the same draws
-    through either access path.
+    a draw finds the current one spent.  The Beta sampler of this module
+    draws from the same generator, so a block and a sampler call each
+    advance it, and the laziness keeps them in the order of the calls: the
+    same calls give the same draws through either access path.
 
     Poisson counts come from a substream of their own: a second Philox
     generator with the same key, started at counter ``(0, 0, 0, 2^63)``

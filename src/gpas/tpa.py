@@ -204,7 +204,12 @@ def two_phase_from_source(
         BudgetExceededError: if either phase exhausts its draw budget; the
             message names the phase, and for phase 2 the counts phase 1 drew.
         CalibrationError: if no index up to the cap reaches a phase's
-            precision.
+            precision.  Phase 2's k grows like r_hat1^2: at epsilon 0.2
+            and delta 0.01 it passes :data:`~gpas.core.DEFAULT_K_CAP`
+            whenever r_hat1 exceeds 164.3 (a bisection on
+            ``calibrate(phase2_epsilon(0.2, r_hat1), 0.005)``), so K20
+            (log-ratio 176.8) raised on each of seeds 0-4, and K24 (260.1)
+            raises.
     """
     _check_unit_interval("epsilon", epsilon)
     _check_coverage_delta("delta", delta)

@@ -224,6 +224,25 @@ def test_schema_ties_total_calls_to_degeneracy(runner, schema):
         jsonschema.validate({**degenerate, "total_tpa_calls": 1}, schema)
 
 
+@pytest.mark.parametrize(
+    "golden", ["tpa_ising_golden.json", "tpa_ising_4x4_golden.json", "tpa_ising_6x4_golden.json"]
+)
+def test_schema_closes_both_tpa_ising_shapes(schema, golden):
+    # the payload and each of its runs share one list of run fields, and
+    # each shape still rejects a field it does not list or one it lacks
+    payload = json.loads((DATA_DIR / golden).read_text())
+    jsonschema.validate(payload, schema)
+    run = payload["runs"][0]
+    without_r_hat1 = {key: value for key, value in payload.items() if key != "r_hat1"}
+    for broken in (
+        {**payload, "extra": 1},
+        {**payload, "runs": [{**run, "extra": 1}, *payload["runs"][1:]]},
+        without_r_hat1,
+    ):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(broken, schema)
+
+
 def test_tpa_ising_edge_file_matches_grid(runner, schema, tmp_path):
     edge_file = tmp_path / "grid22.txt"
     edge_file.write_text("0 1\n2 3\n0 2\n1 3\n", encoding="utf-8")
