@@ -17,8 +17,10 @@ CDF, through ``scipy.special``.  The lower function picks its method from
 its input and value alone: below ``x = shape + 1``, Boost's chi-square CDF
 (``scipy.special.chndtr``) where its value is from 1e-4 to 0.45 and the
 shape at most 1e8, and the power series elsewhere; from ``shape + 1`` up,
-one minus the continued fraction.  :func:`reg_lower_gamma` gives the errors
-measured on each side.
+one minus the continued fraction.  Where the Chernoff bound on the lower
+tail already lies below 1e-4, the series is taken without asking Boost,
+which would only have sent the input there.  :func:`reg_lower_gamma` gives
+the errors measured on each side.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ _REL_TERM_TOL = 1e-15
 _CHNDTR_MIN_TAIL = 1e-4
 _CHNDTR_MAX_TAIL = 0.45
 _CHNDTR_MAX_SHAPE = 1e8
+# A Chernoff bound on ln P below this puts P, and so chndtr's value, under
+# _CHNDTR_MIN_TAIL: the margin of 1e-3 dwarfs the rounding of the bound
+# (about 1e-14) and chndtr's relative error (at most 2.4e-13 from 1e-4 down)
+_CHERNOFF_SERIES_BOUND = math.log(_CHNDTR_MIN_TAIL) - 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +93,13 @@ def reg_lower_gamma(shape: float, x: float) -> float:
     ``sqrt(shape)``: 100-200 µs at shape 88000.  For ``x >= shape + 1`` the
     value is one minus the continued fraction of the upper function.
 
+    ``chndtr`` is not called where its value could only send the input to
+    the series: for ``x < shape`` the Chernoff bound
+    ``ln P <= (x - shape) (ln(1 + r) - r) / r``, with
+    ``r = (x - shape) / shape``, holds at every shape, and where it lies
+    more than 1e-3 below ``ln 1e-4`` the series is taken at once, with the
+    value the rule above gives.
+
     Raises:
         ValueError: if ``shape <= 0`` or ``x < 0`` (or either is not finite).
     """
@@ -98,7 +111,16 @@ def reg_lower_gamma(shape: float, x: float) -> float:
     if x == 0.0:
         return 0.0
     if x < shape + 1.0:
-        if shape <= _CHNDTR_MAX_SHAPE:
+        excess = x - shape
+        # -shape < excess keeps r = excess / shape above -1, the domain of
+        # the bound.  Since ln(1 + r) - r >= -r^2 / (2 (1 + r)) there, the
+        # bound is at least -excess^2 / (2 x): where that is above the
+        # level, nearer the median, the bound is not computed
+        if shape <= _CHNDTR_MAX_SHAPE and not (
+            -shape < excess < 0.0
+            and excess * excess > -2.0 * _CHERNOFF_SERIES_BOUND * x
+            and excess * _log1p_minus_ratio(excess / shape) < _CHERNOFF_SERIES_BOUND
+        ):
             tail = float(special.chndtr(2.0 * x, 2.0 * shape, 0.0))
             if _CHNDTR_MIN_TAIL <= tail <= _CHNDTR_MAX_TAIL:
                 return tail
@@ -177,23 +199,48 @@ def _gamma_prefactor(shape: float, x: float) -> float:
 
 def _lower_series(shape: float, x: float) -> float:
     # P(shape, x) = x^shape e^-x / Gamma(shape) * sum_n x^n / (shape)_(n+1);
-    # shape and x are positive, so every term and partial sum is too
+    # shape and x are positive, so every term and partial sum is too.  The
+    # step below is written out eight times a pass, each copy followed by
+    # the stop test, which leaves the float operations and the stop of a
+    # one-step loop unchanged and spends less interpreter time per term
+    tol = _REL_TERM_TOL
     denom = shape
     term = 1.0 / shape
     total = term
-    for _ in range(_MAX_ITERATIONS):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if term < total * _REL_TERM_TOL:
-            # the ratios x / (denom + j) of the terms left fall with j, so
-            # the geometric sum at the first of them bounds their sum; near
-            # shape 1e8 that sum is about 1000 times the last term
-            total += term * x / (denom + 1.0 - x)
-            return total * _gamma_prefactor(shape, x)
-    raise ArithmeticError(
-        f"lower gamma series did not converge for shape={shape}, x={x}"
-    )
+    for _ in range(_MAX_ITERATIONS // 8):
+        denom += 1.0; term *= x / denom; total += term
+        if term < total * tol: break
+        denom += 1.0; term *= x / denom; total += term
+        if term < total * tol: break
+        denom += 1.0; term *= x / denom; total += term
+        if term < total * tol: break
+        denom += 1.0; term *= x / denom; total += term
+        if term < total * tol: break
+        denom += 1.0; term *= x / denom; total += term
+        if term < total * tol: break
+        denom += 1.0; term *= x / denom; total += term
+        if term < total * tol: break
+        denom += 1.0; term *= x / denom; total += term
+        if term < total * tol: break
+        denom += 1.0; term *= x / denom; total += term
+        if term < total * tol: break
+    else:
+        # the last _MAX_ITERATIONS % 8 terms, one at a time
+        for _ in range(_MAX_ITERATIONS % 8):
+            denom += 1.0
+            term *= x / denom
+            total += term
+            if term < total * tol:
+                break
+        else:
+            raise ArithmeticError(
+                f"lower gamma series did not converge for shape={shape}, x={x}"
+            )
+    # the ratios x / (denom + j) of the terms left fall with j, so the
+    # geometric sum at the first of them bounds their sum; near shape 1e8
+    # that sum is about 1000 times the last term
+    total += term * x / (denom + 1.0 - x)
+    return total * _gamma_prefactor(shape, x)
 
 
 def _upper_continued_fraction(shape: float, x: float) -> float:
@@ -230,8 +277,11 @@ def gamma_quantile(shape: float, q: float) -> float:
     freedom, so ``x`` is Boost's inverse chi-square CDF at ``q``
     (``scipy.special.chndtrix`` with noncentrality 0) halved.  It stays
     within about 1e-15 relative of the exact quantile in both deep tails,
-    for shapes from 2 to 1.5e6, at a few microseconds a call, so nothing is
-    cached.
+    for shapes from 2 to 1.5e6.  A call costs 2-4 µs at a 1e-3 tail and more
+    in the deep tails, growing with the shape: about 6 µs at shape 1e4,
+    12-16 µs at 1e5 and 30-68 µs at 1.5e6 for tails from 5e-13 to 1e-6
+    (2-core Xeon, scipy 1.17.1).  Nothing is cached: an interval asks for
+    one quantile.
 
     Raises:
         ValueError: if ``q`` is outside (0, 1) or ``shape`` is nonpositive.

@@ -1,6 +1,8 @@
 """Estimator mechanics, exact calibration, and the error-law contracts."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from gpas.validation import (
 )
 
 SEED = 202
+DATA_DIR = Path(__file__).parent / "data"
 
 # Frozen from a verified run (seed 20260810, stream 0; mu=1, epsilon=0.2,
 # delta=0.1).  The counts and the Beta draw come from numpy's generators, so the
@@ -506,6 +509,22 @@ def test_calibrate_golden_tight_target():
     assert cal.k == 2561
     assert abs(cal.f_k - 9.970e-7) < 5e-11
     assert cal.f_k <= 1e-6 < cal.f_km1
+
+
+def test_calibrate_golden(no_remembered_offset):
+    # fresh calibrations pinned bit for bit: 300 log-uniform (eps, delta)
+    # over [0.005, 0.5] x [1e-12, 0.2] (k up to 1.76e6) and four phase-2
+    # points at delta 0.005, recorded as float.hex.  The lower tails from
+    # 1e-4 up are Boost's chndtr, so a scipy release that moves them shows
+    # here (.github/tier1-constraints.txt)
+    cases = json.loads((DATA_DIR / "calibrate_golden.json").read_text())["cases"]
+    assert len(cases) == 304
+    for case in cases:
+        epsilon, delta = float.fromhex(case["epsilon"]), float.fromhex(case["delta"])
+        _forget_calibrations()
+        cal = calibrate(epsilon, delta)
+        got = (cal.k, cal.p.hex(), cal.f_k.hex(), cal.f_km1.hex())
+        assert got == (case["k"], case["p"], case["f_k"], case["f_km1"]), case
 
 
 def test_calibrate_against_brute_force_scan():

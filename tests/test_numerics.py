@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.integrate import quad
 
+import gpas.numerics as numerics_module
 from gpas.numerics import (
     _COUNT_COUNTER,
     _COUNT_SCHEDULE,
@@ -146,6 +147,107 @@ def test_reg_lower_gamma_takes_chndtr_only_on_its_region():
 def test_reg_lower_gamma_takes_the_series_on_a_nan_from_chndtr(monkeypatch):
     monkeypatch.setattr(special, "chndtr", lambda *args: math.nan)
     assert reg_lower_gamma(200.0, 190.0) == _lower_series(200.0, 190.0) > 0.2
+
+
+def _counting_chndtr(monkeypatch):
+    # replaces scipy.special.chndtr with a wrapper that counts its calls
+    real, calls = special.chndtr, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(special, "chndtr", counted)
+    return calls
+
+
+def _chernoff_x(shape, level):
+    # the x < shape at which the Chernoff bound shape ln(x / shape) + shape - x
+    # on ln P crosses level, by bisection
+    lo, hi = 0.0, shape
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if shape * math.log(mid / shape) + shape - mid < level:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_reg_lower_gamma_skips_chndtr_only_below_its_region(monkeypatch):
+    # a point the Chernoff gate sends straight to the series would have been
+    # sent there by chndtr's value too: below 1e-4.  Tails from 1e-3 to
+    # 1e-20 and points whose bound is within a few percent of the gate's
+    # level, at shapes 3 to 1e8
+    calls = _counting_chndtr(monkeypatch)
+    shapes = np.unique(np.rint(np.geomspace(3, 1e8, 25))).tolist()
+    gated = near_gate = 0
+    for shape in shapes:
+        points = [gamma_quantile(shape, tail) for tail in np.geomspace(1e-3, 1e-20, 18).tolist()]
+        near = [_chernoff_x(shape, numerics_module._CHERNOFF_SERIES_BOUND * f)
+                for f in (0.97, 0.99, 0.999, 1.001, 1.01, 1.03)]
+        for x in points + near:
+            before = calls[0]
+            value = reg_lower_gamma(shape, x)
+            if calls[0] == before:
+                gated += 1
+                near_gate += x in near
+                assert _chndtr_lower_gamma(shape, x) < 1e-4, (shape, x)
+                assert value == _lower_series(shape, x)
+    # the gate fires at every shape, also just past its level
+    assert gated > 10 * len(shapes)
+    assert near_gate >= 3 * len(shapes)
+
+
+def test_reg_lower_gamma_calls_chndtr_once_above_the_gate(monkeypatch):
+    calls = _counting_chndtr(monkeypatch)
+    reg_lower_gamma(2000.0, gamma_quantile(2000.0, 1e-8))
+    assert calls[0] == 0
+    reg_lower_gamma(2000.0, gamma_quantile(2000.0, 1e-3))
+    assert calls[0] == 1
+
+
+def _one_term_lower_series(shape, x):
+    # the series as a loop of one term a pass: the number of terms after
+    # the first that it adds before its stop test holds, and its value
+    denom, term = shape, 1.0 / shape
+    total = term
+    n = 0
+    while True:
+        n += 1
+        denom += 1.0
+        term *= x / denom
+        total += term
+        if term < total * 1e-15:
+            total += term * x / (denom + 1.0 - x)
+            return n, total * numerics_module._gamma_prefactor(shape, x)
+
+
+@pytest.mark.parametrize("shape", [0.5, 3.0, 30.0, 2000.0, 88000.0, 1.5e6])
+def test_lower_series_matches_the_one_term_loop(shape):
+    # eight terms a pass do the same float operations, bit for bit
+    for x in [gamma_quantile(shape, 1e-3), gamma_quantile(shape, 1e-12),
+              math.nextafter(shape + 1.0, 0.0)]:
+        assert _lower_series(shape, x) == _one_term_lower_series(shape, x)[1]
+
+
+@pytest.mark.parametrize("residue", ["not a multiple of 8", "a multiple of 8"])
+def test_lower_series_gives_up_after_exactly_its_cap(monkeypatch, residue):
+    # the series converges with a cap of exactly the terms it needs, and
+    # raises with one term fewer, whether the last term falls inside a pass
+    # of eight or at its end
+    for shape in range(30, 400, 7):
+        x = gamma_quantile(shape, 1e-6)
+        terms, value = _one_term_lower_series(shape, x)
+        if (terms % 8 == 0) == (residue == "a multiple of 8"):
+            break
+    else:
+        pytest.fail(f"no shape with a term count {residue}")
+    monkeypatch.setattr(numerics_module, "_MAX_ITERATIONS", terms)
+    assert _lower_series(shape, x) == value
+    monkeypatch.setattr(numerics_module, "_MAX_ITERATIONS", terms - 1)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _lower_series(shape, x)
 
 
 @pytest.mark.parametrize("shape,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5),
