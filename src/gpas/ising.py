@@ -6,8 +6,8 @@ inverse temperature beta is exp(beta * H(x)) and the partition function is
 Z(beta) = sum_x exp(beta * H(x)).
 
 At 24 vertices or fewer, fully enumerating the level counts
-#{x : H(x) = h} is cheap (about 20 ms for a 24-vertex grid, in about
-1 MiB of working memory on any graph; see :func:`build_histogram`) and
+#{x : H(x) = h} is cheap (strided numpy passes over a block of states, in
+about 1 MiB of working memory on any graph; see :func:`build_histogram`) and
 gives three exact tools from one histogram: the partition function at any
 beta, the exact law of H(X) under Gibbs(beta) (sampled by cumulative-weight
 inversion over at most #E + 1 levels), and hence a
@@ -235,8 +235,8 @@ def build_histogram(graph: LatticeGraph) -> HamiltonianHistogram:
     with the clear neighbours instead.  Each copy is bincounted in chunks of
     2^16 states.  An edge inside the block costs one pass over at most 2^L
     states, and a vertex with neighbours above it one pass per assignment,
-    so the 6x4 grid (24 vertices, 38 edges) takes about 20 ms and K24 (276
-    edges) about 70-90 ms.  The disagreement counts fit in uint8 on every
+    so the cost grows with the edges and with the vertices that have
+    neighbours above the block.  The disagreement counts fit in uint8 on every
     graph, so working memory is the block, its copy and one int64 bincount
     chunk: about 1 MiB at any size.
     """

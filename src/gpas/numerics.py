@@ -78,8 +78,8 @@ def reg_lower_gamma(shape: float, x: float) -> float:
     is therefore ``reg_lower_gamma(shape, rate * t)``.
 
     For ``x < shape + 1`` and ``shape <= 1e8``, a value from 1e-4 to 0.45 is
-    Boost's chi-square CDF ``scipy.special.chndtr(2 x, 2 shape, 0)``, at 1-3
-    µs a call.  Against a 40-digit reference it stays within 3.2e-15 relative
+    Boost's chi-square CDF ``scipy.special.chndtr(2 x, 2 shape, 0)``.
+    Against a 40-digit reference it stays within 3.2e-15 relative
     for tails from 1e-4 to 0.3 and 1.1e-14 up to 0.45.  Within about 50 of
     the median, ``|x - shape| < 50``, its error is about
     ``3e-17 sqrt(shape)``, 2.9e-13 at shape 1e8; a value above 0.45 lies in
@@ -90,7 +90,7 @@ def reg_lower_gamma(shape: float, x: float) -> float:
     within 2.5e-14 for tails from 1e-4 down to 1e-20 up to shape 1e8, where
     ``chndtr`` is off by up to 2.4e-13 (and by 1.1e-8 at a 4.7e-89 tail),
     and within 4.3e-14 from 0.45 to the median, but its cost grows with
-    ``sqrt(shape)``: 100-200 µs at shape 88000.  For ``x >= shape + 1`` the
+    ``sqrt(shape)``.  For ``x >= shape + 1`` the
     value is one minus the continued fraction of the upper function.
 
     ``chndtr`` is not called where its value could only send the input to
@@ -202,7 +202,9 @@ def _lower_series(shape: float, x: float) -> float:
     # shape and x are positive, so every term and partial sum is too.  The
     # step below is written out eight times a pass, each copy followed by
     # the stop test, which leaves the float operations and the stop of a
-    # one-step loop unchanged and spends less interpreter time per term
+    # one-step loop unchanged and spends less interpreter time per term.
+    # It gives up after _MAX_ITERATIONS // 8 whole passes; the shipped cap
+    # is a multiple of 8
     tol = _REL_TERM_TOL
     denom = shape
     term = 1.0 / shape
@@ -225,17 +227,9 @@ def _lower_series(shape: float, x: float) -> float:
         denom += 1.0; term *= x / denom; total += term
         if term < total * tol: break
     else:
-        # the last _MAX_ITERATIONS % 8 terms, one at a time
-        for _ in range(_MAX_ITERATIONS % 8):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if term < total * tol:
-                break
-        else:
-            raise ArithmeticError(
-                f"lower gamma series did not converge for shape={shape}, x={x}"
-            )
+        raise ArithmeticError(
+            f"lower gamma series did not converge for shape={shape}, x={x}"
+        )
     # the ratios x / (denom + j) of the terms left fall with j, so the
     # geometric sum at the first of them bounds their sum; near shape 1e8
     # that sum is about 1000 times the last term
@@ -277,16 +271,16 @@ def gamma_quantile(shape: float, q: float) -> float:
     freedom, so ``x`` is Boost's inverse chi-square CDF at ``q``
     (``scipy.special.chndtrix`` with noncentrality 0) halved.  It stays
     within about 1e-15 relative of the exact quantile in both deep tails,
-    for shapes from 2 to 1.5e6.  A call costs 2-4 µs at a 1e-3 tail and more
-    in the deep tails, growing with the shape: about 6 µs at shape 1e4,
-    12-16 µs at 1e5 and 30-68 µs at 1.5e6 for tails from 5e-13 to 1e-6
-    (2-core Xeon, scipy 1.17.1).  Nothing is cached: an interval asks for
-    one quantile.
+    for shapes from 2 to 1.5e6.  A call costs more in the deep tails and
+    grows with the shape.  Nothing is cached: an interval asks for one
+    quantile.
 
     Raises:
         ValueError: if ``q`` is outside (0, 1) or ``shape`` is nonpositive.
-        ArithmeticError: if Boost finds no quantile (it returns NaN for
-            shapes of about 1e12 and up).
+        ArithmeticError: if Boost finds no quantile.  It returns NaN for
+            some tails at shapes from about 1e11 up, a 1e-12 tail at shape
+            1e12 among them, while a 0.005 tail stays finite up to shape
+            1e15.
     """
     _check_positive_finite("shape", shape)
     _check_unit_interval("q", q)

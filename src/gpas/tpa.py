@@ -36,6 +36,7 @@ from .core import (
 )
 from .errors import (
     BudgetExceededError,
+    CalibrationError,
     IterationCapError,
     _check_coverage_delta,
     _check_positive_finite,
@@ -47,7 +48,6 @@ __all__ = [
     "NestedGibbsFamily",
     "TpaReport",
     "tpa_run",
-    "relative_error_transfer",
     "phase2_epsilon",
     "two_phase_from_source",
     "two_phase_scheme",
@@ -155,26 +155,19 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def relative_error_transfer(epsilon: float, r: float) -> float:
-    """Relative precision on r that guarantees epsilon precision on exp(r).
-
-    If |r_hat/r - 1| <= ln(1 + epsilon)/r then exp(r_hat)/exp(r) lies in
-    [1/(1 + epsilon), 1 + epsilon], a subset of [1 - epsilon, 1 + epsilon].
-    ln(1 + epsilon) is the binding side: it is smaller in magnitude than
-    ln(1 - epsilon).
-    """
-    _check_unit_interval("epsilon", epsilon)
-    _check_positive_finite("r", r)
-    return math.log1p(epsilon) / r
-
-
 def phase2_epsilon(epsilon: float, r_hat1: float) -> float:
     """Phase-2 precision target ln(1 + epsilon) * (1 - epsilon) / r_hat1.
 
-    A successful phase 1 guarantees r <= r_hat1 / (1 - epsilon), so applying
-    the transfer bound at that worst case keeps the final ratio within
-    epsilon.  Clamped just below 1 so calibration stays well-posed for very
-    small phase-1 estimates.
+    This is the log-to-ratio precision transfer.  If
+    |r_hat/r - 1| <= ln(1 + epsilon)/r then exp(r_hat)/exp(r) lies in
+    [1/(1 + epsilon), 1 + epsilon], a subset of [1 - epsilon, 1 + epsilon];
+    ln(1 + epsilon) is the binding side, smaller in magnitude than
+    ln(1 - epsilon).  A successful phase 1 guarantees
+    r <= r_hat1 / (1 - epsilon), so applying the rule at that worst case
+    keeps the final ratio within epsilon.  Clamped just below 1 so
+    calibration stays well-posed for very small phase-1 estimates.
+    ``gpas validate`` certifies this function at both ends of phase 1's
+    success interval, the clamp included.
     """
     _check_unit_interval("epsilon", epsilon)
     _check_positive_finite("r_hat1", r_hat1)
@@ -204,12 +197,13 @@ def two_phase_from_source(
         BudgetExceededError: if either phase exhausts its draw budget; the
             message names the phase, and for phase 2 the counts phase 1 drew.
         CalibrationError: if no index up to the cap reaches a phase's
-            precision.  Phase 2's k grows like r_hat1^2: at epsilon 0.2
-            and delta 0.01 it passes :data:`~gpas.core.DEFAULT_K_CAP`
-            whenever r_hat1 exceeds 164.3 (a bisection on
-            ``calibrate(phase2_epsilon(0.2, r_hat1), 0.005)``), so K20
-            (log-ratio 176.8) raised on each of seeds 0-4, and K24 (260.1)
-            raises.
+            precision; the message names the phase.  Phase 2's k grows
+            like r_hat1^2: at epsilon 0.2 and delta 0.01 it passes
+            :data:`~gpas.core.DEFAULT_K_CAP` whenever r_hat1 exceeds 164.3
+            (a bisection on ``calibrate(phase2_epsilon(0.2, r_hat1),
+            0.005)``), so K24 (log-ratio 260.1) raises.
+        IterationCapError: if a descent the source runs exceeds its step
+            cap; the message names the phase.
     """
     _check_unit_interval("epsilon", epsilon)
     _check_coverage_delta("delta", delta)
@@ -223,6 +217,8 @@ def two_phase_from_source(
                 f"phase {number} of 2 exhausted its budget of {source.max_calls} "
                 f"draws{drawn_before}"
             ) from exc
+        except (CalibrationError, IterationCapError) as exc:
+            raise type(exc)(f"phase {number} of 2: {exc}") from exc
 
     first = phase(1, epsilon)
     eps2 = phase2_epsilon(epsilon, first.mu_hat)

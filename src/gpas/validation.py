@@ -50,12 +50,7 @@ from .core import (
 from .ising import IsingGibbsFamily, LatticeGraph, build_histogram, log_partition_function
 from .errors import _check_nonnegative_finite, _check_positive_finite, _check_unit_interval
 from .numerics import RngStream, sample_poisson
-from .tpa import (
-    phase2_epsilon,
-    relative_error_transfer,
-    tpa_run,
-    two_phase_from_source,
-)
+from .tpa import phase2_epsilon, tpa_run, two_phase_from_source
 
 __all__ = [
     "KS_SIGNIFICANCE",
@@ -466,16 +461,24 @@ def check_tpa_poissonness(replicates: int, seed: int) -> PropertyResult:
 
 
 def check_transfer_bounds() -> PropertyResult:
-    """Boundary algebra of the log-to-ratio precision transfer (deterministic)."""
+    """The precision transfer :func:`~gpas.tpa.phase2_epsilon` holds (deterministic).
+
+    For each phase-1 estimate r_hat1 and epsilon, r takes both ends of phase
+    1's success interval [r_hat1/(1 + eps), r_hat1/(1 - eps)], and the
+    phase-2 estimate both ends r(1 +- eps2) of phase 2's; the ratio error
+    there may exceed epsilon only by rounding.  At r_hat1 = 0.1 and
+    epsilon = 0.2, eps2 is the clamp just below 1.
+    """
 
     def measure() -> _Verdict:
         worst = 0.0
-        for r in (1.0, 5.0, 15.4):
+        for r_hat1 in (0.1, 1.0, 5.0, 15.4):
             for epsilon in (0.1, 0.2):
-                margin = relative_error_transfer(epsilon, r)
-                for r_hat in (r * (1.0 + margin), r * (1.0 - margin)):
-                    ratio_error = abs(math.exp(r_hat) / math.exp(r) - 1.0)
-                    worst = max(worst, ratio_error - epsilon)
+                eps2 = phase2_epsilon(epsilon, r_hat1)
+                for r in (r_hat1 / (1.0 + epsilon), r_hat1 / (1.0 - epsilon)):
+                    for r_hat2 in (r * (1.0 + eps2), r * (1.0 - eps2)):
+                        ratio_error = abs(math.exp(r_hat2) / math.exp(r) - 1.0)
+                        worst = max(worst, ratio_error - epsilon)
         detail = "max excess ratio error at transfer-boundary log estimates"
         return worst <= 1e-12, worst, 1e-12, detail
 

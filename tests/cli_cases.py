@@ -138,7 +138,8 @@ CASES = [
     {"test": f"{_RUNTIME}[estimate-k-cap]", "args": "estimate --mu 2 --epsilon 0.0001 --delta 0.01",
      "exit": 3},
     {"test": f"{_RUNTIME}[bench-k-cap]",
-     "args": "bench --mu 2 --replicates 3 --epsilon 0.0001 --delta 0.01", "exit": 3},
+     "args": "bench --mu 2 --replicates 3 --epsilon 0.0001 --delta 0.01", "exit": 3,
+     "stderr": ["error: phase 1 of 2: no k <= 10000000"]},
     # (ndtri(delta / 2) / epsilon) ** 2 overflows: the search starts at the cap
     {"test": f"{_RUNTIME}[calibrate-guess-overflow]", "args": "calibrate --epsilon 1e-160 --delta 0.1",
      "exit": 3},
@@ -150,7 +151,7 @@ CASES = [
     # K24's log-ratio, 260, needs a phase-2 k above the 1e7 cap
     {"test": f"{_RUNTIME}[phase2-k-cap]",
      "args": "tpa-ising --edge-file {tmp}/k24.txt --epsilon 0.2 --delta 0.01",
-     "inputs": {"k24.txt": _K24}, "exit": 3},
+     "inputs": {"k24.txt": _K24}, "exit": 3, "stderr": ["error: phase 2 of 2: no k <= 10000000"]},
     # usage errors; at numpy's Poisson limit itself one estimate runs, and
     # bench stops on phase 2's calibration cap, a runtime error
     {"test": f"{_POISSON}[estimate-0]", "args": f"estimate --epsilon 0.2 --delta 0.1 --mu {_MU_LIMIT}",
@@ -159,7 +160,7 @@ CASES = [
      "args": f"estimate --epsilon 0.2 --delta 0.1 --mu {_MU_ABOVE_LIMIT}", "exit": 2,
      "stderr": ["Poisson limit"]},
     {"test": f"{_POISSON}[bench-3]", "args": f"bench --epsilon 0.2 --delta 0.1 --mu {_MU_LIMIT}",
-     "exit": 3},
+     "exit": 3, "stderr": ["error: phase 2 of 2: no k <= 10000000"]},
     {"test": f"{_POISSON}[bench-3]", "args": f"bench --epsilon 0.2 --delta 0.1 --mu {_MU_ABOVE_LIMIT}",
      "exit": 2, "stderr": ["Poisson limit"]},
     {"test": f"{_POISSON}[bench-3]", "args": "bench --mu 9.3e18 --epsilon 0.2 --delta 0.1", "exit": 2},

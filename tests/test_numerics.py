@@ -233,9 +233,11 @@ def test_lower_series_matches_the_one_term_loop(shape):
 
 @pytest.mark.parametrize("residue", ["not a multiple of 8", "a multiple of 8"])
 def test_lower_series_gives_up_after_exactly_its_cap(monkeypatch, residue):
-    # the series converges with a cap of exactly the terms it needs, and
-    # raises with one term fewer, whether the last term falls inside a pass
-    # of eight or at its end
+    # the series runs whole passes of eight terms, _MAX_ITERATIONS // 8 of
+    # them: it converges with a cap of the passes its terms need and raises
+    # with one pass fewer, whether the last term falls inside a pass or at
+    # its end.  A cap that is not a multiple of 8 rounds down to whole
+    # passes, so one term short of the passes needed already raises
     for shape in range(30, 400, 7):
         x = gamma_quantile(shape, 1e-6)
         terms, value = _one_term_lower_series(shape, x)
@@ -243,11 +245,13 @@ def test_lower_series_gives_up_after_exactly_its_cap(monkeypatch, residue):
             break
     else:
         pytest.fail(f"no shape with a term count {residue}")
-    monkeypatch.setattr(numerics_module, "_MAX_ITERATIONS", terms)
+    passes = -(-terms // 8)
+    monkeypatch.setattr(numerics_module, "_MAX_ITERATIONS", 8 * passes)
     assert _lower_series(shape, x) == value
-    monkeypatch.setattr(numerics_module, "_MAX_ITERATIONS", terms - 1)
-    with pytest.raises(ArithmeticError, match="did not converge"):
-        _lower_series(shape, x)
+    for cap in (8 * passes - 1, 8 * (passes - 1)):
+        monkeypatch.setattr(numerics_module, "_MAX_ITERATIONS", cap)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _lower_series(shape, x)
 
 
 @pytest.mark.parametrize("shape,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5),

@@ -10,13 +10,12 @@ import pytest
 
 from gpas import tpa
 from gpas.core import PoissonSource, SyntheticPoissonSource, exact_gpas, gpas
-from gpas.errors import BudgetExceededError, IterationCapError
+from gpas.errors import BudgetExceededError, CalibrationError, IterationCapError
 from gpas.ising import IsingGibbsFamily, LatticeGraph, build_histogram
 from gpas.numerics import RngStream, sample_poisson
 from gpas.tpa import (
     NestedGibbsFamily,
     phase2_epsilon,
-    relative_error_transfer,
     tpa_run,
     two_phase_from_source,
     two_phase_scheme,
@@ -257,28 +256,17 @@ def test_replicate_two_phase_draws_one_poisson_count_per_reported_call(monkeypat
 # ---------------------------------------------------------------------------
 
 
-def test_transfer_values():
-    # transfer(eps, ln(1 + eps)) = 1 is the in-domain form of the identity
-    # ln(e) = 1; epsilon itself is constrained to (0, 1)
-    for epsilon in (0.25, 0.5, 0.9):
-        assert relative_error_transfer(epsilon, math.log1p(epsilon)) == pytest.approx(
-            1.0, rel=1e-15
-        )
-    assert relative_error_transfer(0.2, 15.40) == pytest.approx(
-        math.log(1.2) / 15.40, rel=1e-15
-    )
-    assert relative_error_transfer(0.2, 15.40) == pytest.approx(0.0118391, abs=1e-7)
-
-
 def test_transfer_monotone_in_r():
-    values = [relative_error_transfer(0.2, r) for r in (0.5, 1.0, 5.0, 15.4, 100.0)]
-    assert all(b < a for a, b in zip(values, values[1:]))
+    # phase2_epsilon is nonincreasing in r_hat1, strictly down to the clamp
+    values = [phase2_epsilon(0.2, r) for r in (0.05, 0.1, 0.5, 1.0, 5.0, 15.4, 100.0)]
+    assert values[0] == values[1] == 1.0 - 1e-9
+    assert all(b < a for a, b in zip(values[1:], values[2:]))
 
 
 @pytest.mark.parametrize("epsilon,r", [(0.0, 1.0), (1.0, 1.0), (0.2, 0.0), (0.2, -1.0)])
 def test_transfer_domain_errors(epsilon, r):
     with pytest.raises(ValueError):
-        relative_error_transfer(epsilon, r)
+        phase2_epsilon(epsilon, r)
 
 
 def test_phase2_epsilon_formula():
@@ -374,6 +362,32 @@ def test_two_phase_phase2_budget_propagates():
         f"phase 2 of 2 exhausted its budget of 30 draws (phase 1 drew {first.draws_used})"
     )
     assert source.call_count == 30
+
+
+def test_two_phase_cap_errors_name_their_phase(monkeypatch):
+    # a calibration cap or a descent step cap says which phase it stopped,
+    # as a budget error does
+    cal_cap = "no k <= 10000000 reaches failure probability"
+    rng = RngStream(SEED, 8)
+    with pytest.raises(CalibrationError, match=f"^phase 1 of 2: {cal_cap} 0.005 at"):
+        two_phase_from_source(SyntheticPoissonSource(2.0, rng), 1e-4, 0.01, rng)
+    # a mean of 1e6 asks phase 2 for eps2 of about 1.5e-7
+    with pytest.raises(CalibrationError, match=f"^phase 2 of 2: {cal_cap} 0.05 at"):
+        two_phase_from_source(SyntheticPoissonSource(1e6, rng), 0.2, 0.1, rng)
+    step_cap = "descent did not finish within 5 steps$"
+    monkeypatch.setattr(tpa, "DEFAULT_STEP_CAP", 5)
+    with pytest.raises(IterationCapError, match=f"^phase 1 of 2: {step_cap}"):
+        two_phase_scheme(ConstantHamiltonianFamily(20.0), 0.2, 0.1, RngStream(SEED, 9))
+    # the cap lowered between the phases stops phase 2's first long descent
+    monkeypatch.setattr(tpa, "DEFAULT_STEP_CAP", 1000)
+
+    def lower_the_cap(*args):
+        monkeypatch.setattr(tpa, "DEFAULT_STEP_CAP", 5)
+        return phase2_epsilon(*args)
+
+    monkeypatch.setattr(tpa, "phase2_epsilon", lower_the_cap)
+    with pytest.raises(IterationCapError, match=f"^phase 2 of 2: {step_cap}"):
+        two_phase_scheme(ConstantHamiltonianFamily(20.0), 0.2, 0.1, RngStream(SEED, 9))
 
 
 @pytest.mark.slow

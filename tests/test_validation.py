@@ -134,6 +134,20 @@ def test_transfer_bounds_check_is_deterministic_pass():
     assert result.passed and not result.skipped
 
 
+def test_transfer_bounds_check_fails_without_the_one_minus_epsilon_factor(monkeypatch):
+    # phase 2 sized at r_hat1 itself, not at phase 1's worst case
+    # r_hat1 / (1 - eps), lets the ratio error pass epsilon
+    import gpas.validation as validation_module
+
+    def unguarded(epsilon, r_hat1):
+        return min(math.log1p(epsilon) / r_hat1, 1.0 - 1e-9)
+
+    monkeypatch.setattr(validation_module, "phase2_epsilon", unguarded)
+    result = check_transfer_bounds()
+    assert not result.passed
+    assert result.statistic == pytest.approx(0.056, abs=5e-4)
+
+
 @pytest.mark.parametrize(
     "check, needed",
     [(check_exactness, 600), (check_coverage, 300), (check_two_phase_guarantee, 300)],
